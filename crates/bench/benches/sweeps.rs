@@ -5,7 +5,7 @@
 //!
 //! Both paths must produce **bit-identical** outcomes (asserted here, not
 //! just in the unit suites), and the plan path must perform exactly one
-//! thin SVD per known matrix (asserted via the `linalg::svd` call counter).
+//! thin SVD per known matrix (asserted via the `svd.thin_calls` obs counter).
 //! Timings land in the bench JSON trajectory (`NEURODEANON_BENCH_JSON`,
 //! default `bench_results.jsonl`), including the measured speedup, and the
 //! trajectory is re-parsed with `testkit::json` before exit.
@@ -18,9 +18,13 @@ use neurodeanon_bench::scale::Scale;
 use neurodeanon_bench::timing::{self, Bench, Sample};
 use neurodeanon_core::attack::{AttackConfig, AttackOutcome, AttackPlan, DeanonAttack, MatchRule};
 use neurodeanon_datasets::{Session, Task};
-use neurodeanon_linalg::svd::thin_svd_calls;
 use neurodeanon_testkit::json;
 use std::path::{Path, PathBuf};
+
+/// Thin SVDs this process has performed (the `svd.thin_calls` obs counter).
+fn thin_svd_calls() -> u64 {
+    neurodeanon_obs::counter("svd.thin_calls").get()
+}
 
 /// Path of the bench JSON trajectory file (`NEURODEANON_BENCH_JSON`
 /// overrides the default `bench_results.jsonl` in the working directory).

@@ -32,6 +32,7 @@ use neurodeanon_sampling::{
     finite_rows, intersect_sorted, principal_features, principal_features_approx,
     rows_with_any_finite, LeverageBank,
 };
+use std::sync::Arc;
 
 /// Minimum pairwise-complete observations the masked correlation requires
 /// before reporting a similarity; pairs below this yield NaN entries (see
@@ -640,18 +641,16 @@ fn decisions_from(
         .collect()
 }
 
-/// The feature selector a plan memoizes: either the exact thin-SVD leverage
-/// bank (the paper's deterministic selection) or a subspace-iteration bank
-/// ([`LeverageBank::new_subspace`], reusable because [`RsvdConfig`] carries
-/// a fixed seed). The subspace bank's full descending ordering is
-/// bit-identical to the direct [`principal_features_approx`] selection —
-/// both score the rows of the same seeded `randomized_svd` factor.
-#[derive(Debug, Clone)]
-enum Selector {
-    Exact(LeverageBank),
-    /// `rank_k` is deliberately ignored on this variant so the plan keeps
-    /// matching the direct randomized path, which also ignores it.
-    Subspace(LeverageBank),
+/// The immutable half of a prepared plan, shared through an [`Arc`] by every
+/// clone, serve worker and respawn.
+#[derive(Debug)]
+struct Gallery {
+    known: GroupMatrix,
+    config: AttackConfig,
+    /// Full descending leverage order of `known` under `config.rank_k`.
+    /// `None` when the known matrix is degraded under the `Mask` policy:
+    /// nothing can be factored, so every run takes the masked path.
+    order: Option<Vec<usize>>,
 }
 
 /// A prepared, memoized attack: the expensive artifacts of the *known*
@@ -665,32 +664,30 @@ enum Selector {
 /// one known matrix under many noise draws — so the known-side work is
 /// identical across calls. A plan caches:
 ///
-/// * the [`LeverageBank`] (exact, or the seeded subspace-iteration bank), so a
-///   whole sweep performs exactly **one** factorization of the known matrix;
-/// * per `(t, rank_k)`: the selected indices and the z-scored reduced known
-///   columns, so repeated attacks at the same feature count skip straight to
-///   the anonymous side.
+/// * an immutable gallery behind an [`Arc`]: the known matrix, the
+///   configuration, and the full descending leverage order from the plan's
+///   one [`LeverageBank`] factorization (exact, or the seeded subspace bank,
+///   whose `m × n` `U` is dropped before [`AttackPlan::prepare`] returns).
+///   Clones — one per serve worker and respawn — share it;
+/// * per `t`: the selected indices and the z-scored reduced known columns
+///   (O(`t · n_known`), copied per clone), so repeated attacks at the same
+///   feature count skip straight to the anonymous side.
 ///
 /// Scratch matrices for the anonymous side are reused across calls, so a
 /// steady-state sweep performs no large allocations — only the returned
 /// similarity matrix (subjects × subjects, small) is freshly allocated.
 ///
-/// Every outcome is **bit-for-bit identical** to
-/// [`DeanonAttack::run`] with the same configuration: the bank's selections
-/// match [`principal_features`] exactly, and [`cross_correlation`] is the
-/// composition of the same `zscored_cols_into` / `cross_correlation_zscored_into`
-/// kernels the plan calls (see `tests/properties.rs`).
+/// Every outcome is **bit-for-bit identical** to [`DeanonAttack::run`] with
+/// the same configuration: each selection is a prefix of the order, equal to
+/// [`principal_features`] (or [`principal_features_approx`]) at any `t`, and
+/// [`cross_correlation`] is the composition of the same `zscored_cols_into` /
+/// `cross_correlation_zscored_into` kernels the plan calls (see
+/// `tests/properties.rs`).
 #[derive(Debug, Clone)]
 pub struct AttackPlan {
-    known: GroupMatrix,
-    config: AttackConfig,
-    /// `None` when the known matrix itself is degraded under the `Mask`
-    /// policy: no factorization is possible, so every run takes the masked
-    /// path (support + selection recomputed per call — the support depends
-    /// on each query's own missingness).
-    selector: Option<Selector>,
-    /// `(t, rank_k)` of the artifacts currently in the known-side buffers.
-    selection: Option<(usize, Option<usize>)>,
+    gallery: Arc<Gallery>,
+    /// `t` of the artifacts currently in the known-side buffers.
+    selection: Option<usize>,
     indices: Vec<usize>,
     known_red: Matrix,
     known_z: Matrix,
@@ -731,22 +728,21 @@ impl AttackPlan {
                 }
             }
         };
-        let selector = if known.as_matrix().is_finite() {
-            Some(match &config.randomized {
-                None => Selector::Exact(LeverageBank::new(known.as_matrix())?),
-                // The subspace bank's full descending ordering serves any
-                // `t`, bit-identical to `principal_features_approx`.
-                Some(cfg) => {
-                    Selector::Subspace(LeverageBank::new_subspace(known.as_matrix(), cfg)?)
-                }
-            })
-        } else {
-            None
+        // The bank lives only long enough to yield the full order. The
+        // subspace path ignores `rank_k`, as the direct randomized path does.
+        let a = known.as_matrix();
+        let m = known.n_features();
+        let order = match &config.randomized {
+            _ if !a.is_finite() => None,
+            None => Some(LeverageBank::new(a)?.select_indices(m, config.rank_k)?),
+            Some(cfg) => Some(LeverageBank::new_subspace(a, cfg)?.select_indices(m, None)?),
         };
         Ok(AttackPlan {
-            known,
-            config,
-            selector,
+            gallery: Arc::new(Gallery {
+                known,
+                config,
+                order,
+            }),
             selection: None,
             indices: Vec::new(),
             known_red: Matrix::zeros(0, 0),
@@ -760,12 +756,12 @@ impl AttackPlan {
 
     /// The de-anonymized group this plan attacks from.
     pub fn known(&self) -> &GroupMatrix {
-        &self.known
+        &self.gallery.known
     }
 
     /// Active configuration.
     pub fn config(&self) -> &AttackConfig {
-        &self.config
+        &self.gallery.config
     }
 
     /// Runs the attack against one anonymous group with the plan's
@@ -773,7 +769,7 @@ impl AttackPlan {
     /// [`DeanonAttack::run`] with the same configuration, minus the
     /// per-call factorization.
     pub fn run_against(&mut self, anon: &GroupMatrix) -> Result<AttackOutcome> {
-        self.run_with(anon, self.config.n_features, self.config.match_rule)
+        self.run_with(anon, self.config().n_features, self.config().match_rule)
     }
 
     /// Runs the attack with an overridden feature count and matching rule —
@@ -797,25 +793,26 @@ impl AttackPlan {
                 reason: "must retain at least one feature",
             });
         }
-        if self.known.n_features() != anon.n_features() {
+        let g = &*self.gallery;
+        if g.known.n_features() != anon.n_features() {
             return Err(CoreError::IncompatibleGroups {
-                known: self.known.n_features(),
+                known: g.known.n_features(),
                 anon: anon.n_features(),
             });
         }
-        let t = n_features.min(self.known.n_features());
-        if self.selector.is_none() || !anon.as_matrix().is_finite() {
-            match self.config.degraded {
+        let t = n_features.min(g.known.n_features());
+        if g.order.is_none() || !anon.as_matrix().is_finite() {
+            match g.config.degraded {
                 DegradedInput::Reject => {
-                    return Err(non_finite_error(&self.known, anon));
+                    return Err(non_finite_error(&g.known, anon));
                 }
                 DegradedInput::Mask => {
                     let cfg = AttackConfig {
                         n_features: t,
                         match_rule,
-                        ..self.config.clone()
+                        ..g.config.clone()
                     };
-                    return masked_attack(&self.known, anon, &cfg);
+                    return masked_attack(&g.known, anon, &cfg);
                 }
                 DegradedInput::Impute => {
                     // The known side was imputed at `prepare`; only the
@@ -831,7 +828,7 @@ impl AttackPlan {
     }
 
     /// The historical memoized path: selection cache + known-side buffers +
-    /// dense correlation kernels. Requires `self.selector` to be `Some` and
+    /// dense correlation kernels. Requires a leverage order and
     /// `anon` to be fully finite.
     fn run_memoized(
         &mut self,
@@ -848,7 +845,7 @@ impl AttackPlan {
         anon.as_matrix()
             .select_rows_into(&self.indices, &mut self.anon_red)?;
         let mut similarity = Matrix::zeros(0, 0);
-        match self.config.dtype {
+        match self.config().dtype {
             Dtype::F64 => cross_correlation_fused_into(
                 &self.known_z,
                 &self.anon_red,
@@ -868,10 +865,10 @@ impl AttackPlan {
         outcome_from_similarity(
             similarity,
             self.indices.clone(),
-            self.known.subject_ids(),
+            self.known().subject_ids(),
             anon.subject_ids(),
             match_rule,
-            self.config.reject_margin,
+            self.config().reject_margin,
         )
     }
 
@@ -900,7 +897,7 @@ impl AttackPlan {
                 reason: "batch must contain at least one query",
             });
         }
-        let want = self.known.n_features();
+        let want = self.known().n_features();
         for q in queries.iter() {
             if q.len() != want {
                 return Err(CoreError::IncompatibleGroups {
@@ -916,7 +913,7 @@ impl AttackPlan {
                 });
             }
         }
-        let t = self.config.n_features.min(want);
+        let t = self.config().n_features.min(want);
         self.ensure_selection(t)?;
         // Gather the selected features of every query into reduced rows —
         // the same elements, in the same order, that `select_rows_into`
@@ -934,7 +931,7 @@ impl AttackPlan {
             .map(|r| self.batch_red.row(r))
             .collect();
         let mut similarity = Matrix::zeros(0, 0);
-        match self.config.dtype {
+        match self.config().dtype {
             Dtype::F64 => cross_correlation_batched_into(
                 &self.known_z,
                 &rows,
@@ -952,36 +949,34 @@ impl AttackPlan {
         Ok(similarity)
     }
 
-    /// Refreshes the cached selection + known-side buffers when the
-    /// `(t, rank_k)` key changes; a no-op (zero allocations) otherwise.
+    /// Refreshes the cached selection + known-side buffers when `t`
+    /// changes; a no-op (zero allocations) otherwise.
     fn ensure_selection(&mut self, t: usize) -> Result<()> {
-        let key = (t, self.config.rank_k);
-        if self.selection == Some(key) {
+        if self.selection == Some(t) {
             return Ok(());
         }
         let _span = neurodeanon_obs::span("plan.select");
         // Invalidate first so a failed refresh can't leave a stale key.
         self.selection = None;
-        let selector = self.selector.as_ref().ok_or(CoreError::InvalidParameter {
+        let g = &*self.gallery;
+        let order = g.order.as_deref().ok_or(CoreError::InvalidParameter {
             name: "selector",
             reason: "no factorization available for a mask-degraded known matrix",
         })?;
-        self.indices = match selector {
-            Selector::Exact(bank) => bank.select_indices(t, self.config.rank_k)?,
-            Selector::Subspace(bank) => bank.select_indices(t, None)?,
-        };
-        self.known
+        self.indices.clear();
+        self.indices.extend_from_slice(&order[..t]);
+        g.known
             .as_matrix()
             .select_rows_into(&self.indices, &mut self.known_red)?;
         zscored_cols_into(&self.known_red, &mut self.known_z);
-        if self.config.dtype == Dtype::F32 {
+        if g.config.dtype == Dtype::F32 {
             // Convert once per selection refresh; steady-state queries then
             // stream half the gallery bytes.
             self.known_z32.clear();
             self.known_z32
                 .extend(self.known_z.as_slice().iter().map(|&v| v as f32));
         }
-        self.selection = Some(key);
+        self.selection = Some(t);
         gallery_bytes_gauge().set(
             (std::mem::size_of_val(self.known_z.as_slice())
                 + std::mem::size_of_val(self.known_z32.as_slice())) as f64,
@@ -1455,24 +1450,28 @@ mod tests {
         let c = cohort();
         let known = c.group_matrix(Task::Rest, Session::One).unwrap();
         let anon = c.group_matrix(Task::Rest, Session::Two).unwrap();
-        let config = AttackConfig {
-            randomized: Some(neurodeanon_linalg::rsvd::RsvdConfig {
-                rank: 8,
-                power_iters: 2,
+        // The randomized path ignores `rank_k` on both sides.
+        for rank_k in [None, Some(3)] {
+            let config = AttackConfig {
+                rank_k,
+                randomized: Some(neurodeanon_linalg::rsvd::RsvdConfig {
+                    rank: 8,
+                    power_iters: 2,
+                    ..Default::default()
+                }),
                 ..Default::default()
-            }),
-            ..Default::default()
-        };
-        let mut plan = AttackPlan::prepare(known.clone(), config.clone()).unwrap();
-        for t in [20usize, 100] {
-            let attack = DeanonAttack::new(AttackConfig {
-                n_features: t,
-                ..config.clone()
-            })
-            .unwrap();
-            let direct = attack.run(&known, &anon).unwrap();
-            let planned = plan.run_with(&anon, t, MatchRule::Argmax).unwrap();
-            outcomes_bit_identical(&direct, &planned);
+            };
+            let mut plan = AttackPlan::prepare(known.clone(), config.clone()).unwrap();
+            for t in [20usize, 100] {
+                let attack = DeanonAttack::new(AttackConfig {
+                    n_features: t,
+                    ..config.clone()
+                })
+                .unwrap();
+                let direct = attack.run(&known, &anon).unwrap();
+                let planned = plan.run_with(&anon, t, MatchRule::Argmax).unwrap();
+                outcomes_bit_identical(&direct, &planned);
+            }
         }
     }
 

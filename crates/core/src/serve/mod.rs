@@ -22,8 +22,9 @@
 //! * **Poison isolation** — every query is validated individually; a
 //!   malformed or degraded query yields a typed [`QueryError`] while the
 //!   rest of its batch completes. A worker panic (chaos-injected or
-//!   otherwise) is contained by `catch_unwind`: the worker rebuilds its
-//!   plan from the pristine copy (deterministic respawn), re-runs the batch
+//!   otherwise) is contained by `catch_unwind`: the worker re-clones its
+//!   plan from the pristine one (deterministic respawn; the clone shares the
+//!   immutable gallery and copies only the selection), re-runs the batch
 //!   one query at a time so exactly the poison query fails
 //!   ([`QueryError::WorkerPanicked`]), and applies a capped exponential
 //!   backoff *in units of work* (the next `2^respawns` batches run at size
@@ -38,10 +39,10 @@
 //! Determinism: a response depends only on its own query and the prepared
 //! plan — never on batch packing, arrival order, worker count, or thread
 //! count — so serve output is byte-identical across all of those (asserted
-//! by `tests/serve_properties.rs` and the CI serve smoke). The `serve.*`
+//! by `tests/serve_properties.rs` and the CI serve smoke). The `rt.serve.*`
 //! obs metrics (queue depth, batches, sheds, quarantines) *are*
-//! arrival-timing-dependent and are excluded from the observability
-//! fingerprint like the `rt.` namespace.
+//! arrival-timing-dependent, so they live in the `rt.` namespace that the
+//! observability fingerprint excludes.
 
 mod queue;
 
@@ -108,8 +109,10 @@ fn install_worker_panic_hook() {
 /// Configuration of a [`MatchServer`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads answering queries. Each owns a full clone of the
-    /// prepared plan (gallery buffers included).
+    /// Worker threads answering queries. Each owns a clone of the prepared
+    /// plan: the immutable gallery (known matrix and leverage order) is
+    /// shared, and only the O(`t · n_known`) selection and scratch are
+    /// copied per worker.
     pub workers: usize,
     /// Bounded queue capacity between producers and workers.
     pub queue_capacity: usize,
@@ -327,8 +330,9 @@ impl std::error::Error for SubmitError {}
 /// successfully submitted query.
 pub type QueryResult = std::result::Result<MatchResponse, QueryError>;
 
-/// Per-server counters (authoritative, unlike the process-global `serve.*`
-/// obs metrics, which aggregate over every server in the process).
+/// Per-server counters (authoritative, unlike the process-global
+/// `rt.serve.*` obs metrics, which aggregate over every server in the
+/// process).
 #[derive(Debug, Default)]
 struct ServeStats {
     submitted: AtomicU64,
@@ -385,8 +389,8 @@ impl ServeStats {
     }
 }
 
-/// Cached handles for the `serve.*` runtime metrics (excluded from the obs
-/// fingerprint: batching and shedding are arrival-timing-dependent).
+/// Cached handles for the `rt.serve.*` runtime metrics (excluded from the
+/// obs fingerprint: batching and shedding are arrival-timing-dependent).
 mod metrics {
     use super::OnceLock;
     fn handle_counter(name: &'static str) -> &'static neurodeanon_obs::Counter {
@@ -397,19 +401,19 @@ mod metrics {
     }
     pub(super) fn queue_depth() -> &'static neurodeanon_obs::Gauge {
         static H: OnceLock<&'static neurodeanon_obs::Gauge> = OnceLock::new();
-        H.get_or_init(|| handle_gauge("serve.queue_depth"))
+        H.get_or_init(|| handle_gauge("rt.serve.queue_depth"))
     }
     pub(super) fn batches() -> &'static neurodeanon_obs::Counter {
         static H: OnceLock<&'static neurodeanon_obs::Counter> = OnceLock::new();
-        H.get_or_init(|| handle_counter("serve.batches"))
+        H.get_or_init(|| handle_counter("rt.serve.batches"))
     }
     pub(super) fn sheds() -> &'static neurodeanon_obs::Counter {
         static H: OnceLock<&'static neurodeanon_obs::Counter> = OnceLock::new();
-        H.get_or_init(|| handle_counter("serve.sheds"))
+        H.get_or_init(|| handle_counter("rt.serve.sheds"))
     }
     pub(super) fn quarantined() -> &'static neurodeanon_obs::Counter {
         static H: OnceLock<&'static neurodeanon_obs::Counter> = OnceLock::new();
-        H.get_or_init(|| handle_counter("serve.quarantined"))
+        H.get_or_init(|| handle_counter("rt.serve.quarantined"))
     }
 }
 
@@ -431,8 +435,9 @@ pub struct MatchServer {
 impl MatchServer {
     /// Starts `cfg.workers` worker threads over clones of `plan`.
     ///
-    /// The plan's selection is warmed once here, so worker clones share the
-    /// prepared gallery buffers instead of each re-deriving them. Serve
+    /// The plan's selection is warmed once here, so no worker re-derives
+    /// it: each clone shares the immutable gallery through an `Arc` and
+    /// copies only the warmed O(`t · n_known`) selection. Serve
     /// requires the argmax rule (Hungarian assignment is defined over a
     /// whole anon *group*, not a stream) and a factorizable plan (a
     /// mask-degraded known matrix has no memoized batch path).
@@ -577,7 +582,7 @@ fn submit_error(e: QueueError, submit_timeout: Duration) -> SubmitError {
 }
 
 /// Sends one reply, bookkeeping the server counters and the process-global
-/// `serve.*` metrics. Receivers may already be dropped; that is the
+/// `rt.serve.*` metrics. Receivers may already be dropped; that is the
 /// caller's prerogative, not an error.
 fn send_reply(job: Job, result: QueryResult, stats: &ServeStats) {
     match &result {
@@ -713,7 +718,8 @@ impl Worker {
     }
 
     /// Deterministic supervisor respawn: replace the (suspect) plan with a
-    /// fresh clone of the pristine one and arm the work-unit backoff.
+    /// fresh clone of the pristine one (sharing its gallery) and arm the
+    /// work-unit backoff.
     /// Returns `false` when the respawn budget is exhausted.
     fn respawn(&mut self) -> bool {
         self.respawns += 1;

@@ -25,25 +25,16 @@ use crate::Result;
 const MAX_SWEEPS: usize = 60;
 
 /// Cached handle of the `svd.thin_calls` observability counter: process-wide
-/// count of [`thin_svd`] factorizations, for benches and diagnostics that
-/// assert how many SVDs a code path actually performed (e.g. the attack-plan
-/// sweep benches, which require a whole feature-count ablation to cost
-/// exactly one factorization).
+/// count of [`thin_svd`] factorizations, for benches and tests that assert
+/// how many SVDs a code path actually performed (e.g. the attack-plan sweep
+/// bench, which requires a whole feature-count ablation to cost exactly one
+/// factorization). Concurrent callers share it, so only deltas around a
+/// workload nothing else runs beside are meaningful; `obs::reset()` zeroes
+/// it.
 fn thin_calls_counter() -> &'static neurodeanon_obs::Counter {
     static HANDLE: std::sync::OnceLock<&'static neurodeanon_obs::Counter> =
         std::sync::OnceLock::new();
     HANDLE.get_or_init(|| neurodeanon_obs::counter("svd.thin_calls"))
-}
-
-/// Number of [`thin_svd`] factorizations performed by this process so far —
-/// a thin shim over the `svd.thin_calls` observability counter (kept so the
-/// sweep benches' 1-SVD-per-plan invariant reads unchanged).
-///
-/// Intended for single-threaded benches and binaries; under a parallel test
-/// runner concurrent tests share the counter, so only same-thread deltas
-/// around a known workload are meaningful. `obs::reset()` zeroes it.
-pub fn thin_svd_calls() -> u64 {
-    thin_calls_counter().get()
 }
 
 /// Minimum per-round work (pairs × 8·column length) before one Jacobi round

@@ -54,15 +54,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// counters and gauges, excluded from [`Snapshot::fingerprint`].
 pub const RUNTIME_PREFIX: &str = "rt.";
 
-/// The match server's metric namespace (`serve.queue_depth`,
-/// `serve.batches`, `serve.sheds`, `serve.quarantined`), also excluded from
-/// [`Snapshot::fingerprint`]: the service plane is arrival-timing-dependent
-/// by nature — queue depths, batch packings, and deadline sheds vary run to
-/// run even though every *response* stays bit-identical. Treating the whole
-/// namespace as runtime telemetry keeps the never-changes-a-bit fingerprint
-/// contract intact without renaming the service metrics.
-pub const SERVE_PREFIX: &str = "serve.";
-
 /// Process-wide tracing switch. Off by default; spans are inert until
 /// [`enable`] flips this.
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -94,8 +85,7 @@ pub fn reset() {
     metrics::reset_all();
 }
 
-/// `true` when `name` is runtime-dependent telemetry (the `rt.` namespace,
-/// plus the match server's `serve.` namespace — see [`SERVE_PREFIX`]).
+/// `true` when `name` is runtime-dependent telemetry (the `rt.` namespace).
 pub fn is_runtime_metric(name: &str) -> bool {
-    name.starts_with(RUNTIME_PREFIX) || name.starts_with(SERVE_PREFIX)
+    name.starts_with(RUNTIME_PREFIX)
 }

@@ -178,11 +178,11 @@ fn fingerprint_excludes_runtime_namespace() {
         assert!(!fp.contains("rt.par.imbalance"), "{fp}");
         assert!(obs::is_runtime_metric("rt.par.busy_ns"));
         assert!(!obs::is_runtime_metric("par.tiles"));
-        // The match server's namespace is runtime telemetry too: batching
-        // and shedding are arrival-timing-dependent, so serve.* metrics
+        // The match server's metrics are runtime telemetry too: batching
+        // and shedding are arrival-timing-dependent, so rt.serve.* metrics
         // must never enter the fingerprint.
-        assert!(obs::is_runtime_metric("serve.queue_depth"));
-        assert!(obs::is_runtime_metric("serve.batches"));
+        assert!(obs::is_runtime_metric("rt.serve.queue_depth"));
+        assert!(obs::is_runtime_metric("rt.serve.batches"));
         assert!(!obs::is_runtime_metric("served.total"));
     });
 }

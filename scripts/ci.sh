@@ -51,6 +51,15 @@ echo "==> serve property suite @ NEURODEANON_THREADS=1 and 8"
 NEURODEANON_THREADS=1 cargo test -q --offline -p neurodeanon-core --test serve_properties
 NEURODEANON_THREADS=8 cargo test -q --offline -p neurodeanon-core --test serve_properties
 
+# Gallery sharing (DESIGN.md §1.2, §1.7): plan clones, serve workers and
+# respawns share one prepared gallery. Under the counting allocator a plan
+# clone and a 4-worker MatchServer::start must each grow the live heap by
+# less than a quarter of one known matrix. The same step runs the obs
+# allocation-accountant test, which the default-feature runs compile out.
+echo "==> heap accountant: gallery sharing + obs accountant (alloc-stats)"
+cargo test -q --offline -p neurodeanon-bench --features alloc-stats --test gallery_sharing
+cargo test -q --offline -p neurodeanon-obs --features alloc-stats --test properties
+
 # Observability smoke (DESIGN.md §1.6): a traced demo run must print a span
 # tree, emit JSONL that self-parses (the trace_smoke test), and — the hard
 # contract — produce byte-identical predictions untraced vs traced, at 1
