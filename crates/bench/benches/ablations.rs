@@ -2,8 +2,7 @@
 //! sampling strategy, retained-feature count, matching rule, atlas
 //! granularity, and the t-SNE vs PCA embedding comparison that motivates
 //! the paper's choice of a non-linear reduction for task identification.
-//! Timed by the in-repo `neurodeanon_bench::timing` harness (build with
-//! `--features criterion-bench`).
+//! Timed by the in-repo `neurodeanon_bench::timing` harness.
 
 use neurodeanon_bench::fail;
 use neurodeanon_bench::timing::Bench;

@@ -3,8 +3,7 @@
 //! the harness both times the attack pipeline and regenerates the
 //! artifact's numbers on every bench run. The `repro` binary produces the
 //! same numbers at paper scale. Timed by the in-repo
-//! `neurodeanon_bench::timing` harness (build with
-//! `--features criterion-bench`).
+//! `neurodeanon_bench::timing` harness.
 
 use neurodeanon_bench::fail;
 use neurodeanon_bench::timing::Bench;

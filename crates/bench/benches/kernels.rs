@@ -1,7 +1,6 @@
 //! Raw-speed floor for the attack's hot kernels: cache-blocked `matmul`,
 //! `gram`, and the fused z-score + cross-correlation pass, timed at 1 and 8
-//! forced threads, in f64 and (for the fused query path) the f32-gallery
-//! variant. Each case emits one `kernel_bench` JSONL record carrying
+//! forced threads. Each case emits one `kernel_bench` JSONL record carrying
 //! GFLOP/s, and the committed `kernel_baseline.jsonl` gates regressions:
 //! a case more than 25% below its best committed baseline is a soft
 //! warning while the label has a single baseline record and a hard failure
@@ -24,11 +23,8 @@ use neurodeanon_core::attack::{AttackConfig, AttackPlan, MatchRule};
 use neurodeanon_datasets::{Session, Task};
 use neurodeanon_linalg::par::with_thread_count;
 use neurodeanon_linalg::rsvd::RsvdConfig;
-use neurodeanon_linalg::stats::{
-    cross_correlation_fused_f32_into, cross_correlation_fused_into, zscored_cols_into,
-};
+use neurodeanon_linalg::stats::{cross_correlation_fused_into, zscored_cols_into};
 use neurodeanon_linalg::svd::jacobi_svd;
-use neurodeanon_linalg::vector::argmax;
 use neurodeanon_linalg::Matrix;
 use neurodeanon_sampling::LeverageBank;
 use neurodeanon_testkit::{json, Value};
@@ -153,11 +149,8 @@ fn main() {
     let at = a.transpose();
     let mut az = Matrix::zeros(0, 0);
     zscored_cols_into(a, &mut az);
-    let az32: Vec<f32> = az.as_slice().iter().map(|&v| v as f32).collect();
 
     let mut cases: Vec<KernelCase> = Vec::new();
-    let mut out64 = Matrix::zeros(0, 0);
-    let mut out32 = Matrix::zeros(0, 0);
     for threads in [1usize, 8] {
         with_thread_count(threads, || {
             // (n x m) · (m x n): the Gram-shaped product the thin SVD's
@@ -173,7 +166,7 @@ fn main() {
             cases.push(KernelCase::new(s, (m * n * (n + 1)) as f64, threads));
 
             // The plan's steady-state query path: transpose + z-score +
-            // correlate in one blocked pass, f64 gallery.
+            // correlate in one blocked pass.
             let mut bz = Matrix::zeros(0, 0);
             let mut out = Matrix::zeros(0, 0);
             let s = bench.run(&format!("fused_xcorr_{scale_name}_t{threads}"), || {
@@ -181,34 +174,8 @@ fn main() {
                     .unwrap_or_else(|e| fail(&format!("{e} at kernels.rs:{}", line!())))
             });
             cases.push(KernelCase::new(s, 2.0 * (n * n * m) as f64, threads));
-            if threads == 1 {
-                out64 = out.clone();
-            }
-
-            // Same pass over the f32 gallery (half the steady-state bytes).
-            let s = bench.run(&format!("fused_xcorr_f32_{scale_name}_t{threads}"), || {
-                cross_correlation_fused_f32_into(&az32, n, b, &mut bz, &mut out)
-                    .unwrap_or_else(|e| fail(&format!("{e} at kernels.rs:{}", line!())))
-            });
-            cases.push(KernelCase::new(s, 2.0 * (n * n * m) as f64, threads));
-            if threads == 1 {
-                out32 = out.clone();
-            }
         });
     }
-
-    // The f32 gallery may flip argmax only where the f64 margin is within
-    // the ~t·2⁻²⁴ storage-rounding band — a small fraction of queries on
-    // any cohort, paper scale included.
-    let q = out64.cols();
-    let disagreements = (0..q)
-        .filter(|&j| argmax(&out64.col(j)) != argmax(&out32.col(j)))
-        .count();
-    assert!(
-        disagreements * 20 <= q,
-        "f32 gallery flipped {disagreements}/{q} argmax decisions"
-    );
-    println!("f32 vs f64 argmax disagreements: {disagreements}/{q}");
 
     // ---- LeverageBank builds: exact thin SVD vs one-sided Jacobi vs the
     // blocked randomized subspace iteration.

@@ -3,8 +3,7 @@
 //! scores, Pearson connectome construction, FIR/FFT filtering, and t-SNE
 //! iterations. These are the kernels whose cost the paper's "computationally
 //! inexpensive, and can scale to large datasets" claim rests on. Timed by
-//! the in-repo `neurodeanon_bench::timing` harness (build with
-//! `--features criterion-bench`).
+//! the in-repo `neurodeanon_bench::timing` harness.
 
 use neurodeanon_bench::fail;
 use neurodeanon_bench::timing::{self, Bench, Sample};

@@ -5,8 +5,7 @@
 //! Reproduction harness for the paper's evaluation: the [`scale`] presets,
 //! small formatting/reporting helpers shared by the `repro` binary (which
 //! regenerates every table and figure as text + JSON), and the in-repo
-//! [`timing`] harness used by the bench targets (gated behind the
-//! `criterion-bench` feature so they stay out of the default build graph).
+//! [`timing`] harness used by the bench targets.
 
 pub mod report;
 pub mod scale;

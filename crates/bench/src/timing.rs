@@ -1,4 +1,4 @@
-//! Minimal wall-clock benchmark harness for the `criterion-bench` targets.
+//! Minimal wall-clock benchmark harness for the `cargo bench` targets.
 //!
 //! A deliberately small stand-in for an external benchmarking framework:
 //! each benchmark runs a warm-up pass, then a fixed number of timed

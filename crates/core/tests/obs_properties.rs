@@ -105,7 +105,7 @@ fn span_fingerprint_is_thread_count_invariant() {
             "span plan.run/plan.correlate",
             "span plan.run/plan.match",
             "counter svd.thin_calls",
-            "gauge plan.gallery_bytes",
+            "gauge plan.gallery_bytes = 3200 max 6400",
         ] {
             tk_assert!(fp1.contains(needle), "fingerprint missing {needle}:\n{fp1}");
         }

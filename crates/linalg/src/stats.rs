@@ -8,7 +8,7 @@
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
 use crate::par::{self, DisjointMut};
-use crate::vector::{dot, dot_f32_f64};
+use crate::vector::dot;
 use crate::Result;
 
 /// Minimum element count before `zscore_rows` spreads rows over threads;
@@ -455,81 +455,8 @@ pub fn cross_correlation_fused_into(
             op: "cross_correlation",
         });
     }
-    let n_a = az.rows();
-    let t_len = az.cols();
-    let q = b.cols();
-    let inv = 1.0 / t_len as f64;
     b.transpose_into(bz);
-    out.reshape_for_overwrite(n_a, q);
-    let odata = DisjointMut::new(out.as_mut_slice());
-    par::par_chunks_mut(
-        bz.as_mut_slice(),
-        t_len,
-        n_a.max(2),
-        CROSS_PAR_THRESHOLD,
-        |j, brow| {
-            zscore_in_place(brow);
-            for i in 0..n_a {
-                let v = (dot(az.row(i), brow) * inv).clamp(-1.0, 1.0);
-                // SAFETY: query j exclusively owns output column j.
-                unsafe { *odata.get(i * q + j) = v };
-            }
-        },
-    );
-    Ok(())
-}
-
-/// The f32-gallery variant of [`cross_correlation_fused_into`]: the prepared
-/// known side is stored as an `a_rows × t` row-major `f32` slice (converted
-/// once at plan-preparation time), queries stay `f64`, and every dot product
-/// **accumulates in f64** (each `f32` gallery element is widened exactly, so
-/// the only precision loss is the one-time `f64 → f32` rounding of the
-/// stored gallery).
-///
-/// Determinism: bit-identical at any thread count for the same reasons as
-/// the f64 kernel — per-dtype bit-identity is the contract; f32-vs-f64
-/// *agreement* is bounded statistically by the property suite, not exactly.
-pub fn cross_correlation_fused_f32_into(
-    az: &[f32],
-    a_rows: usize,
-    b: &Matrix,
-    bz: &mut Matrix,
-    out: &mut Matrix,
-) -> Result<()> {
-    let _span = neurodeanon_obs::span("stats.xcorr_fused_f32");
-    let t_len = az.len().checked_div(a_rows).unwrap_or(0);
-    if a_rows == 0 || az.len() != a_rows * t_len || t_len != b.rows() {
-        return Err(LinalgError::DimensionMismatch {
-            op: "cross_correlation",
-            lhs: (a_rows, t_len),
-            rhs: (b.cols(), b.rows()),
-        });
-    }
-    if az.is_empty() || b.is_empty() {
-        return Err(LinalgError::EmptyMatrix {
-            op: "cross_correlation",
-        });
-    }
-    let q = b.cols();
-    let inv = 1.0 / t_len as f64;
-    b.transpose_into(bz);
-    out.reshape_for_overwrite(a_rows, q);
-    let odata = DisjointMut::new(out.as_mut_slice());
-    par::par_chunks_mut(
-        bz.as_mut_slice(),
-        t_len,
-        a_rows.max(2),
-        CROSS_PAR_THRESHOLD,
-        |j, brow| {
-            zscore_in_place(brow);
-            for i in 0..a_rows {
-                let ai = &az[i * t_len..(i + 1) * t_len];
-                let v = (dot_f32_f64(ai, brow) * inv).clamp(-1.0, 1.0);
-                // SAFETY: query j exclusively owns output column j.
-                unsafe { *odata.get(i * q + j) = v };
-            }
-        },
-    );
+    correlate_query_rows(az, bz, out);
     Ok(())
 }
 
@@ -539,14 +466,12 @@ pub fn cross_correlation_fused_f32_into(
 /// product of the attack-as-a-service batch path.
 ///
 /// This is [`cross_correlation_fused_into`] with the transpose peeled off:
-/// the fused kernel receives queries as *columns* of a `t × Q` matrix and
-/// copies them into rows of `bz`; here the queries already arrive as rows
-/// and are copied into `bz` directly. A transpose is an exact element copy,
-/// so output column `j` is **bit-identical** to the fused kernel run on a
-/// matrix whose `j`-th column is `queries[j]` — and therefore bit-identical
-/// to running query `j` alone through the per-query path: each column is
-/// produced by the same sequential [`zscore_in_place`] + `(dot · 1/t)`
-/// `.clamp(±1)` expressions, and depends on no other column of the batch.
+/// the queries already arrive as rows and are copied into `bz` directly,
+/// then both kernels run the same query-row body. A transpose is an exact
+/// element copy, so output column `j` is **bit-identical** to the fused
+/// kernel run on a matrix whose `j`-th column is `queries[j]` — and
+/// therefore bit-identical to running query `j` alone through the
+/// per-query path: each column depends on no other column of the batch.
 /// Batch packing, batch order, and thread count cannot change a bit.
 ///
 /// Errors on an empty gallery, an empty batch, or any query whose length
@@ -580,14 +505,31 @@ pub fn cross_correlation_batched_into(
             });
         }
     }
-    let n_a = az.rows();
-    let q_count = queries.len();
-    let inv = 1.0 / t_len as f64;
-    bz.reshape_for_overwrite(q_count, t_len);
+    bz.reshape_for_overwrite(queries.len(), t_len);
     for (row, q) in queries.iter().enumerate() {
         bz.row_mut(row).copy_from_slice(q);
     }
-    out.reshape_for_overwrite(n_a, q_count);
+    correlate_query_rows(az, bz, out);
+    Ok(())
+}
+
+/// The query-correlation body shared by [`cross_correlation_fused_into`]
+/// and [`cross_correlation_batched_into`]: z-scores each raw query row `j`
+/// of `bz` (`Q × t`, `t == az.cols() > 0`) in place with the sequential
+/// [`zscore_in_place`] kernel and writes its correlations against every
+/// pre-z-scored row of `az` into column `j` of `out` (`az.rows() × Q`).
+fn correlate_query_rows(az: &Matrix, bz: &mut Matrix, out: &mut Matrix) {
+    let n_a = az.rows();
+    let t_len = az.cols();
+    let q = bz.rows();
+    // The output writes below stay in bounds only if `bz` splits into
+    // exactly `q` chunks of `t_len`.
+    assert!(
+        t_len > 0 && bz.cols() == t_len,
+        "query rows must match the gallery length"
+    );
+    let inv = 1.0 / t_len as f64;
+    out.reshape_for_overwrite(n_a, q);
     let odata = DisjointMut::new(out.as_mut_slice());
     par::par_chunks_mut(
         bz.as_mut_slice(),
@@ -598,74 +540,12 @@ pub fn cross_correlation_batched_into(
             zscore_in_place(brow);
             for i in 0..n_a {
                 let v = (dot(az.row(i), brow) * inv).clamp(-1.0, 1.0);
-                // SAFETY: query j exclusively owns output column j.
-                unsafe { *odata.get(i * q_count + j) = v };
+                // SAFETY: query j exclusively owns output column j, and
+                // i < n_a, j < q (asserted above) keep i * q + j in bounds.
+                unsafe { *odata.get(i * q + j) = v };
             }
         },
     );
-    Ok(())
-}
-
-/// The f32-gallery variant of [`cross_correlation_batched_into`]: the
-/// prepared known side is an `a_rows × t` row-major `f32` slice, queries
-/// stay `f64`, dots accumulate in f64 — the same storage/accumulation
-/// contract as [`cross_correlation_fused_f32_into`], to which each output
-/// column is bit-identical for the same query.
-pub fn cross_correlation_batched_f32_into(
-    az: &[f32],
-    a_rows: usize,
-    queries: &[&[f64]],
-    bz: &mut Matrix,
-    out: &mut Matrix,
-) -> Result<()> {
-    let _span = neurodeanon_obs::span("stats.xcorr_batched_f32");
-    let t_len = az.len().checked_div(a_rows).unwrap_or(0);
-    if a_rows == 0 || az.is_empty() || az.len() != a_rows * t_len {
-        return Err(LinalgError::DimensionMismatch {
-            op: "cross_correlation_batched",
-            lhs: (a_rows, t_len),
-            rhs: (0, 0),
-        });
-    }
-    if queries.is_empty() {
-        return Err(LinalgError::InvalidParameter {
-            name: "queries",
-            reason: "batch must contain at least one query",
-        });
-    }
-    for q in queries {
-        if q.len() != t_len {
-            return Err(LinalgError::DimensionMismatch {
-                op: "cross_correlation_batched",
-                lhs: (a_rows, t_len),
-                rhs: (1, q.len()),
-            });
-        }
-    }
-    let q_count = queries.len();
-    let inv = 1.0 / t_len as f64;
-    bz.reshape_for_overwrite(q_count, t_len);
-    for (row, q) in queries.iter().enumerate() {
-        bz.row_mut(row).copy_from_slice(q);
-    }
-    out.reshape_for_overwrite(a_rows, q_count);
-    let odata = DisjointMut::new(out.as_mut_slice());
-    par::par_chunks_mut(
-        bz.as_mut_slice(),
-        t_len,
-        a_rows.max(2),
-        CROSS_PAR_THRESHOLD,
-        |j, brow| {
-            zscore_in_place(brow);
-            for i in 0..a_rows {
-                let ai = &az[i * t_len..(i + 1) * t_len];
-                let v = (dot_f32_f64(ai, brow) * inv).clamp(-1.0, 1.0);
-                // SAFETY: query j exclusively owns output column j.
-                unsafe { *odata.get(i * q_count + j) = v };
-            }
-        },
-    );
-    Ok(())
 }
 
 /// Pairwise-complete Pearson correlation: correlates two equal-length
@@ -1053,31 +933,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_f32_close_to_f64_and_deterministic() {
-        let a = Matrix::from_fn(60, 6, |r, c| ((r * 3 + c * 7) % 13) as f64 * 0.17 - 1.0);
-        let b = Matrix::from_fn(60, 4, |r, c| ((r * 5 + c * 11) % 9) as f64 * 0.31 - 1.2);
-        let mut az = Matrix::zeros(0, 0);
-        zscored_cols_into(&a, &mut az);
-        let az32: Vec<f32> = az.as_slice().iter().map(|&v| v as f32).collect();
-        let mut bz = Matrix::zeros(0, 0);
-        let mut out64 = Matrix::zeros(0, 0);
-        cross_correlation_fused_into(&az, &b, &mut bz, &mut out64).unwrap();
-        let mut out32 = Matrix::zeros(0, 0);
-        cross_correlation_fused_f32_into(&az32, az.rows(), &b, &mut bz, &mut out32).unwrap();
-        assert_eq!(out32.shape(), out64.shape());
-        for (x, y) in out32.as_slice().iter().zip(out64.as_slice()) {
-            // Correlations are O(1); f32 storage rounding perturbs them by
-            // at most ~len·2⁻²⁴ relative noise.
-            assert!((x - y).abs() < 1e-5, "{x} vs {y}");
-        }
-        // Bad gallery geometry is a typed error, not a panic.
-        assert!(
-            cross_correlation_fused_f32_into(&az32, 7, &b, &mut bz, &mut out32).is_err()
-                || az.rows() == 7
-        );
-    }
-
-    #[test]
     fn batched_cross_correlation_is_bit_identical_to_fused() {
         // The serve batch path must reproduce the fused query kernel exactly,
         // column by column: batched(Q queries) == fused(t × Q matrix), and
@@ -1110,27 +965,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_f32_matches_fused_f32() {
-        let a = Matrix::from_fn(50, 5, |r, c| ((r * 3 + c * 7) % 13) as f64 * 0.17 - 1.0);
-        let b = Matrix::from_fn(50, 4, |r, c| ((r * 5 + c * 11) % 9) as f64 * 0.31 - 1.2);
-        let mut az = Matrix::zeros(0, 0);
-        zscored_cols_into(&a, &mut az);
-        let az32: Vec<f32> = az.as_slice().iter().map(|&v| v as f32).collect();
-        let mut bz = Matrix::zeros(0, 0);
-        let mut fused = Matrix::zeros(0, 0);
-        cross_correlation_fused_f32_into(&az32, az.rows(), &b, &mut bz, &mut fused).unwrap();
-        let cols: Vec<Vec<f64>> = (0..b.cols()).map(|j| b.col(j)).collect();
-        let queries: Vec<&[f64]> = cols.iter().map(|c| c.as_slice()).collect();
-        let mut batched = Matrix::zeros(0, 0);
-        cross_correlation_batched_f32_into(&az32, az.rows(), &queries, &mut bz, &mut batched)
-            .unwrap();
-        assert_eq!(batched.shape(), fused.shape());
-        for (x, y) in batched.as_slice().iter().zip(fused.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
     fn batched_cross_correlation_typed_errors() {
         let a = Matrix::from_fn(12, 3, |r, c| (r + c) as f64);
         let mut az = Matrix::zeros(0, 0);
@@ -1154,23 +988,6 @@ mod tests {
         assert!(
             cross_correlation_batched_into(&empty, &[good.as_slice()], &mut bz, &mut out).is_err()
         );
-        let az32: Vec<f32> = az.as_slice().iter().map(|&v| v as f32).collect();
-        assert!(cross_correlation_batched_f32_into(
-            &az32,
-            0,
-            &[good.as_slice()],
-            &mut bz,
-            &mut out
-        )
-        .is_err());
-        assert!(cross_correlation_batched_f32_into(
-            &az32,
-            az.rows(),
-            &[short.as_slice()],
-            &mut bz,
-            &mut out
-        )
-        .is_err());
     }
 
     #[test]

@@ -32,35 +32,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     s0 + s1 + s2 + s3 + tail
 }
 
-/// Mixed-precision dot product: an `f32` gallery row against an `f64` query
-/// row, **accumulating in f64**. Each `f32` element widens to `f64` exactly,
-/// so the result is the exact-[`dot`] of the widened gallery — the only
-/// rounding is the one-time `f64 → f32` storage conversion the caller made.
-///
-/// Same four-way unrolled accumulation order as [`dot`], so the f32 gallery
-/// path keeps the per-dtype bit-identity contract at any thread count.
-#[inline]
-pub fn dot_f32_f64(a: &[f32], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut s0 = 0.0;
-    let mut s1 = 0.0;
-    let mut s2 = 0.0;
-    let mut s3 = 0.0;
-    let chunks = a.len() / 4;
-    for i in 0..chunks {
-        let j = i * 4;
-        s0 += a[j] as f64 * b[j];
-        s1 += a[j + 1] as f64 * b[j + 1];
-        s2 += a[j + 2] as f64 * b[j + 2];
-        s3 += a[j + 3] as f64 * b[j + 3];
-    }
-    let mut tail = 0.0;
-    for j in chunks * 4..a.len().min(b.len()) {
-        tail += a[j] as f64 * b[j];
-    }
-    s0 + s1 + s2 + s3 + tail
-}
-
 /// Euclidean norm `‖a‖₂`.
 #[inline]
 pub fn norm2(a: &[f64]) -> f64 {

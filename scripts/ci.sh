@@ -10,8 +10,9 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace --offline -- -D warnings
+# --all-targets lints (and type-checks) the tests, benches and examples too.
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "==> cargo build --release --offline"
 cargo build --release --offline
@@ -24,9 +25,6 @@ NEURODEANON_THREADS=1 cargo test -q --offline
 
 echo "==> cargo test -q --offline (default threads)"
 cargo test -q --offline
-
-echo "==> cargo check --benches --features criterion-bench --offline"
-cargo check -p neurodeanon-bench --benches --features criterion-bench --offline
 
 # The corruption/degradation property suite promises no panics and
 # bit-identical outcomes at any thread count; pin it explicitly at both
@@ -84,31 +82,31 @@ echo "    traced output identical to untraced at both thread counts"
 # records and gates them against crates/bench/benches/kernel_baseline.jsonl —
 # >25% below the best committed baseline is a soft warning while a label has
 # one baseline record and a hard failure once two exist. It also checks the
-# f32-gallery argmax agreement and the subspace-bank ablation tracking.
+# subspace-bank ablation tracking.
 echo "==> bench smoke: kernels @ small -> \${NEURODEANON_BENCH_JSON:-bench_results.jsonl}"
 NEURODEANON_BENCH_SCALE=small \
-  cargo bench -p neurodeanon-bench --bench kernels --features criterion-bench --offline
+  cargo bench -p neurodeanon-bench --bench kernels --offline
 
 # Bench smoke: the sweeps bench at small scale appends its records to the
 # JSON trajectory and asserts plan/direct bit-identity, the one-SVD-per-plan
 # invariant, and that the trajectory parses with testkit::json.
 echo "==> bench smoke: sweeps @ small -> \${NEURODEANON_BENCH_JSON:-bench_results.jsonl}"
 NEURODEANON_BENCH_SCALE=small \
-  cargo bench -p neurodeanon-bench --bench sweeps --features criterion-bench --offline
+  cargo bench -p neurodeanon-bench --bench sweeps --offline
 
 # Robustness smoke: the corruption-severity sweep at small scale must emit a
 # parseable JSONL curve whose severity-0 points are bit-identical to the
 # clean baseline and whose curves decay weakly monotonically.
 echo "==> bench smoke: robustness @ small -> \${NEURODEANON_BENCH_JSON:-bench_results.jsonl}"
 NEURODEANON_BENCH_SCALE=small \
-  cargo bench -p neurodeanon-bench --bench robustness --features criterion-bench --offline
+  cargo bench -p neurodeanon-bench --bench robustness --offline
 
 # Open-world smoke: the enrollment-rate × threshold sweep at small scale
 # must append parseable CMC/ROC JSONL, with the rate-1.0 row bit-identical
 # to the closed-world baseline and monotone CMC/ROC curves.
 echo "==> bench smoke: openworld @ small -> \${NEURODEANON_BENCH_JSON:-bench_results.jsonl}"
 NEURODEANON_BENCH_SCALE=small \
-  cargo bench -p neurodeanon-bench --bench openworld --features criterion-bench --offline
+  cargo bench -p neurodeanon-bench --bench openworld --offline
 
 # Serve smoke (DESIGN.md §1.7): the demo match server must drain clean and
 # print byte-identical responses at 1 thread and at the default count —
@@ -136,6 +134,6 @@ echo "    serve responses identical at both thread counts; chaos run drained cle
 # appends serve_bench JSONL records (p50/p99/qps/shed/quarantine/taxonomy).
 echo "==> bench smoke: serve @ small -> \${NEURODEANON_BENCH_JSON:-bench_results.jsonl}"
 NEURODEANON_BENCH_SCALE=small \
-  cargo bench -p neurodeanon-bench --bench serve --features criterion-bench --offline
+  cargo bench -p neurodeanon-bench --bench serve --offline
 
 echo "CI green."
