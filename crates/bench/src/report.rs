@@ -3,8 +3,8 @@
 //! The `repro` binary prints a human-readable block per experiment and
 //! appends a machine-readable JSON record to `repro_results.jsonl`, which
 //! EXPERIMENTS.md quotes. JSON is written and parsed by the in-repo
-//! [`neurodeanon_testkit::json`] module, so the harness has no external
-//! serialization dependency.
+//! [`neurodeanon_testkit::json`](mod@neurodeanon_testkit::json) module, so
+//! the harness has no external serialization dependency.
 
 use neurodeanon_testkit::{json, Value};
 use std::io::Write as _;

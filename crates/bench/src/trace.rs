@@ -5,7 +5,7 @@
 //! [`neurodeanon_obs::Snapshot`] into the bench trajectory format — one
 //! record per span node (`"record": "obs_span"`), counter
 //! (`"obs_counter"`), and gauge (`"obs_gauge"`) — through
-//! [`timing::append_jsonl`], which stamps every line with the host
+//! [`crate::timing::append_jsonl`], which stamps every line with the host
 //! metadata (`seq`, `threads`, `profile`) shared by all bench records.
 
 use crate::timing::append_jsonl;

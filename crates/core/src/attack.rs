@@ -27,10 +27,7 @@ use neurodeanon_linalg::stats::{
     cross_correlation_masked, impute_row_means, zscored_cols_into,
 };
 use neurodeanon_linalg::Matrix;
-use neurodeanon_sampling::{
-    finite_rows, intersect_sorted, principal_features, principal_features_approx,
-    rows_with_any_finite, LeverageBank,
-};
+use neurodeanon_sampling::{finite_rows, intersect_sorted, rows_with_any_finite, LeverageBank};
 use std::sync::Arc;
 
 /// Minimum pairwise-complete observations the masked correlation requires
@@ -296,69 +293,36 @@ impl DeanonAttack {
     /// Runs the attack: `known` is the de-anonymized group, `anon` the
     /// target. Both must share the feature space (same atlas).
     ///
-    /// Non-finite cells in either operand are handled per the configured
-    /// [`DegradedInput`] policy; on fully finite inputs every policy is
-    /// bit-identical to the historical clean path.
+    /// This is a one-shot [`AttackPlan`]: prepared from a copy of `known`,
+    /// run once against `anon`, and dropped. Non-finite cells in either
+    /// operand are handled per the configured [`DegradedInput`] policy; on
+    /// fully finite inputs every policy takes the same path.
+    ///
+    /// Errors are checked in a fixed order: a feature-count mismatch
+    /// ([`CoreError::IncompatibleGroups`]) wins over a non-finite operand on
+    /// either side, and under `Reject` a non-finite `known` is reported
+    /// before a non-finite `anon`.
     pub fn run(&self, known: &GroupMatrix, anon: &GroupMatrix) -> Result<AttackOutcome> {
-        let _span = neurodeanon_obs::span("attack.run");
         if known.n_features() != anon.n_features() {
             return Err(CoreError::IncompatibleGroups {
                 known: known.n_features(),
                 anon: anon.n_features(),
             });
         }
-        let known_clean = known.as_matrix().is_finite();
-        let anon_clean = anon.as_matrix().is_finite();
-        if known_clean && anon_clean {
-            return clean_attack(known, anon, &self.config);
-        }
-        match self.config.degraded {
-            DegradedInput::Reject => Err(non_finite_error(known, anon)),
-            DegradedInput::Mask => masked_attack(known, anon, &self.config),
-            DegradedInput::Impute => {
-                let (k, a) = impute_pair(known, anon, known_clean, anon_clean);
-                clean_attack(
-                    k.as_ref().unwrap_or(known),
-                    a.as_ref().unwrap_or(anon),
-                    &self.config,
-                )
-            }
-        }
+        AttackPlan::prepare(known.clone(), self.config.clone())?.run_against(anon)
     }
 }
 
-/// The historical clean attack pipeline (select → reduce → correlate →
-/// match); both operands must be fully finite.
-fn clean_attack(
-    known: &GroupMatrix,
-    anon: &GroupMatrix,
-    config: &AttackConfig,
-) -> Result<AttackOutcome> {
-    let t = config.n_features.min(known.n_features());
-    // Step 1-2: principal features from the *known* group only.
-    let select_span = neurodeanon_obs::span("attack.select");
-    let pf = match &config.randomized {
-        None => principal_features(known.as_matrix(), t, config.rank_k)?,
-        Some(cfg) => principal_features_approx(known.as_matrix(), t, cfg)?,
-    };
-    let known_red = known.select_features(&pf.indices)?;
-    let anon_red = anon.select_features(&pf.indices)?;
-    drop(select_span);
-    // Step 3: subject-by-subject Pearson in the reduced space.
-    let similarity = {
-        let _corr = neurodeanon_obs::span("attack.correlate");
-        cross_correlation(known_red.as_matrix(), anon_red.as_matrix())?
-    };
-    // Step 4: matching + scoring.
-    let _match_span = neurodeanon_obs::span("attack.match");
-    outcome_from_similarity(
-        similarity,
-        pf.indices,
-        known.subject_ids(),
-        anon.subject_ids(),
-        config.match_rule,
-        config.reject_margin,
-    )
+/// The full descending leverage order of `a` under `config`: the exact
+/// [`LeverageBank`] restricted to `config.rank_k`, or the seeded subspace
+/// bank of `config.randomized`, which ignores `rank_k`. The bank lives only
+/// long enough to yield the order.
+fn leverage_order(a: &Matrix, config: &AttackConfig) -> Result<Vec<usize>> {
+    let m = a.rows();
+    Ok(match &config.randomized {
+        None => LeverageBank::new(a)?.select_indices(m, config.rank_k)?,
+        Some(cfg) => LeverageBank::new_subspace(a, cfg)?.select_indices(m, None)?,
+    })
 }
 
 /// The graceful-degradation path of the `Mask` policy: restrict feature
@@ -385,11 +349,10 @@ fn masked_attack(
     // selected local indices map back through `shared` to global features.
     let known_sub = known.as_matrix().select_rows(&shared)?;
     let t = config.n_features.min(shared.len());
-    let pf = match &config.randomized {
-        None => principal_features(&known_sub, t, config.rank_k)?,
-        Some(cfg) => principal_features_approx(&known_sub, t, cfg)?,
-    };
-    let indices: Vec<usize> = pf.indices.iter().map(|&i| shared[i]).collect();
+    let indices: Vec<usize> = leverage_order(&known_sub, config)?[..t]
+        .iter()
+        .map(|&i| shared[i])
+        .collect();
     let known_red = known.as_matrix().select_rows(&indices)?;
     let anon_red = anon.as_matrix().select_rows(&indices)?;
     let similarity = cross_correlation_masked(&known_red, &anon_red, MASKED_MIN_OVERLAP)?;
@@ -419,46 +382,21 @@ fn masked_attack(
     )
 }
 
-/// Which side to blame in a [`CoreError::NonFiniteInput`]: the known matrix
-/// if it is degraded, else the anonymous one.
-fn non_finite_error(known: &GroupMatrix, anon: &GroupMatrix) -> CoreError {
-    let count = |m: &Matrix| m.as_slice().iter().filter(|x| !x.is_finite()).count();
-    let k = count(known.as_matrix());
-    if k > 0 {
-        CoreError::NonFiniteInput {
-            side: "known",
-            n_non_finite: k,
-        }
-    } else {
-        CoreError::NonFiniteInput {
-            side: "anon",
-            n_non_finite: count(anon.as_matrix()),
-        }
-    }
+/// The [`CoreError::NonFiniteInput`] blaming `side` for the non-finite
+/// cells of `group`.
+fn non_finite_error(side: &'static str, group: &GroupMatrix) -> CoreError {
+    let n_non_finite = group
+        .as_matrix()
+        .as_slice()
+        .iter()
+        .filter(|x| !x.is_finite())
+        .count();
+    CoreError::NonFiniteInput { side, n_non_finite }
 }
 
-/// Mean-imputed copies of whichever operands need one (`None` = that side
-/// was already clean, use the original).
-fn impute_pair(
-    known: &GroupMatrix,
-    anon: &GroupMatrix,
-    known_clean: bool,
-    anon_clean: bool,
-) -> (Option<GroupMatrix>, Option<GroupMatrix>) {
-    let fix = |g: &GroupMatrix| {
-        let mut out = g.clone();
-        impute_row_means(out.as_matrix_mut());
-        out
-    };
-    (
-        (!known_clean).then(|| fix(known)),
-        (!anon_clean).then(|| fix(anon)),
-    )
-}
-
-/// Matching + ground-truth scoring shared by [`DeanonAttack::run`] and
-/// [`AttackPlan`]: derives predictions from the similarity matrix under the
-/// given rule and scores them against the id-prefix ground truth.
+/// Matching + ground-truth scoring of the memoized path: derives
+/// predictions from the similarity matrix under the given rule and scores
+/// them against the id-prefix ground truth.
 fn outcome_from_similarity(
     similarity: Matrix,
     selected_features: Vec<usize>,
@@ -591,9 +529,10 @@ fn decisions_from(
 struct Gallery {
     known: GroupMatrix,
     config: AttackConfig,
-    /// Full descending leverage order of `known` under `config.rank_k`.
-    /// `None` when the known matrix is degraded under the `Mask` policy:
-    /// nothing can be factored, so every run takes the masked path.
+    /// Full descending leverage order of `known` under `config` (see
+    /// `leverage_order`). `None` when the known matrix is degraded under the
+    /// `Mask` policy: nothing can be factored, so every run takes the masked
+    /// path.
     order: Option<Vec<usize>>,
 }
 
@@ -621,12 +560,14 @@ struct Gallery {
 /// steady-state sweep performs no large allocations — only the returned
 /// similarity matrix (subjects × subjects, small) is freshly allocated.
 ///
-/// Every outcome is **bit-for-bit identical** to [`DeanonAttack::run`] with
-/// the same configuration: each selection is a prefix of the order, equal to
-/// [`principal_features`] (or [`principal_features_approx`]) at any `t`, and
-/// [`cross_correlation`] is the composition of the same `zscored_cols_into` /
-/// `cross_correlation_zscored_into` kernels the plan calls (see
-/// `tests/properties.rs`).
+/// [`DeanonAttack::run`] is a plan prepared, run once and dropped, so a
+/// long-lived plan must agree with it **bit for bit**, whatever its cache
+/// holds: each selection is a prefix of the order (on the exact path,
+/// [`neurodeanon_sampling::principal_features`] at that `t`), and the
+/// similarity is [`cross_correlation`] split in two — `zscored_cols_into`
+/// on the known side, cached per `t`, then `cross_correlation_fused_into`
+/// per anonymous matrix. `tests/properties.rs` pins both against a
+/// reference built from public linalg calls.
 #[derive(Debug, Clone)]
 pub struct AttackPlan {
     gallery: Arc<Gallery>,
@@ -651,32 +592,33 @@ impl AttackPlan {
     /// the configured policy: `Reject` errors here, `Impute` stores the
     /// mean-imputed matrix (one imputation serves every query), and `Mask`
     /// stores the matrix as-is and runs every query on the masked path.
-    pub fn prepare(known: GroupMatrix, config: AttackConfig) -> Result<Self> {
+    ///
+    /// Errors are checked in a fixed order: an invalid configuration, then
+    /// a non-finite `known` under `Reject`
+    /// ([`CoreError::NonFiniteInput`] with `side: "known"`). `prepare` sees
+    /// no anonymous matrix, so a feature-count mismatch surfaces only later,
+    /// from [`AttackPlan::run_with`].
+    pub fn prepare(mut known: GroupMatrix, config: AttackConfig) -> Result<Self> {
         let _span = neurodeanon_obs::span("plan.prepare");
         config.validate()?;
-        let known = if known.as_matrix().is_finite() {
-            known
+        let factor = if known.as_matrix().is_finite() {
+            true
         } else {
             match config.degraded {
                 DegradedInput::Reject => {
-                    return Err(non_finite_error(&known, &known));
+                    return Err(non_finite_error("known", &known));
                 }
-                DegradedInput::Mask => known,
+                DegradedInput::Mask => false,
                 DegradedInput::Impute => {
-                    let mut k = known;
-                    impute_row_means(k.as_matrix_mut());
-                    k
+                    impute_row_means(known.as_matrix_mut());
+                    true
                 }
             }
         };
-        // The bank lives only long enough to yield the full order. The
-        // subspace path ignores `rank_k`, as the direct randomized path does.
-        let a = known.as_matrix();
-        let m = known.n_features();
-        let order = match &config.randomized {
-            _ if !a.is_finite() => None,
-            None => Some(LeverageBank::new(a)?.select_indices(m, config.rank_k)?),
-            Some(cfg) => Some(LeverageBank::new_subspace(a, cfg)?.select_indices(m, None)?),
+        let order = if factor {
+            Some(leverage_order(known.as_matrix(), &config)?)
+        } else {
+            None
         };
         Ok(AttackPlan {
             gallery: Arc::new(Gallery {
@@ -718,8 +660,8 @@ impl AttackPlan {
     /// Degraded operands follow [`AttackConfig::degraded`]: `Reject` errors,
     /// `Impute` imputes a clone of the anonymous matrix and reuses the
     /// memoized known-side artifacts, and `Mask` falls back to the
-    /// unmemoized [`masked_attack`] path (the usable support depends on each
-    /// query's own missingness, so nothing can be cached across calls).
+    /// unmemoized masked path (the usable support depends on each query's
+    /// own missingness, so nothing can be cached across calls).
     pub fn run_with(
         &mut self,
         anon: &GroupMatrix,
@@ -743,8 +685,9 @@ impl AttackPlan {
         let t = n_features.min(g.known.n_features());
         if g.order.is_none() || !anon.as_matrix().is_finite() {
             match g.config.degraded {
+                // `prepare` refused a non-finite known under `Reject`.
                 DegradedInput::Reject => {
-                    return Err(non_finite_error(&g.known, anon));
+                    return Err(non_finite_error("anon", anon));
                 }
                 DegradedInput::Mask => {
                     let cfg = AttackConfig {
@@ -1046,6 +989,44 @@ mod tests {
             attack.run(&known, &anon),
             Err(CoreError::IncompatibleGroups { .. })
         ));
+        // A mismatch wins over a non-finite known under every policy; the
+        // plan sees no anonymous side, so under `Reject` it reports the
+        // non-finite known at preparation instead.
+        let bad_known = corrupted(&known, CorruptionKind::NanRegions, 0.5);
+        for degraded in [
+            DegradedInput::Reject,
+            DegradedInput::Mask,
+            DegradedInput::Impute,
+        ] {
+            let config = AttackConfig {
+                degraded,
+                ..Default::default()
+            };
+            assert!(matches!(
+                DeanonAttack::new(config.clone())
+                    .unwrap()
+                    .run(&bad_known, &anon),
+                Err(CoreError::IncompatibleGroups {
+                    known: 1770,
+                    anon: 435
+                })
+            ));
+            let prepared = AttackPlan::prepare(bad_known.clone(), config);
+            if degraded == DegradedInput::Reject {
+                assert!(matches!(
+                    prepared,
+                    Err(CoreError::NonFiniteInput { side: "known", .. })
+                ));
+            } else {
+                assert!(matches!(
+                    prepared.unwrap().run_against(&anon),
+                    Err(CoreError::IncompatibleGroups {
+                        known: 1770,
+                        anon: 435
+                    })
+                ));
+            }
+        }
     }
 
     #[test]

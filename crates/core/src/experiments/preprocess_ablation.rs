@@ -12,7 +12,7 @@
 //! sample count against artifact removal). A final `combined` row reports
 //! the all-artifacts / full-pipeline numbers for reference.
 
-use crate::attack::{AttackConfig, DeanonAttack};
+use crate::attack::{AttackConfig, AttackPlan};
 use crate::Result;
 use neurodeanon_atlas::{grown_atlas, Parcellation, VoxelGrid};
 use neurodeanon_connectome::{Connectome, GroupMatrix};
@@ -162,7 +162,7 @@ fn accuracy_through(
     parcellation: &Parcellation,
     scanner: &Scanner,
     pipeline_cfg: PipelineConfig,
-    attack: &DeanonAttack,
+    attack: &AttackConfig,
     seed: u64,
     n_repeats: usize,
 ) -> Result<f64> {
@@ -188,7 +188,9 @@ fn accuracy_through(
             Session::Two,
             rep_seed,
         )?;
-        acc += attack.run(&known, &anon)?.accuracy;
+        acc += AttackPlan::prepare(known, attack.clone())?
+            .run_against(&anon)?
+            .accuracy;
     }
     Ok(acc / n_repeats.max(1) as f64)
 }
@@ -215,10 +217,11 @@ pub fn preprocess_ablation(
         seed: config.seed,
         scrub_fd_threshold: None,
     })?;
-    let attack = DeanonAttack::new(AttackConfig {
+    let attack = AttackConfig {
         n_features: config.n_features,
         ..Default::default()
-    })?;
+    };
+    attack.validate()?;
 
     let mut rows = Vec::new();
     for (label, scan_cfg, stage_cfg) in ablation_pairs() {

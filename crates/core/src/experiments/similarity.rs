@@ -2,7 +2,7 @@
 //! and task connectomes across the two sessions, with diagonal-dominance
 //! statistics and identification accuracy.
 
-use crate::attack::{AttackConfig, DeanonAttack};
+use crate::attack::{AttackConfig, AttackPlan};
 use crate::Result;
 use neurodeanon_datasets::{HcpCohort, Session, Task};
 use neurodeanon_linalg::Matrix;
@@ -40,8 +40,7 @@ pub fn similarity_experiment(
 ) -> Result<SimilarityResult> {
     let known = cohort.group_matrix(task, Session::One)?;
     let anon = cohort.group_matrix(task, Session::Two)?;
-    let attack = DeanonAttack::new(attack_config)?;
-    let out = attack.run(&known, &anon)?;
+    let out = AttackPlan::prepare(known, attack_config)?.run_against(&anon)?;
     Ok(SimilarityResult {
         task,
         mean_diagonal: out.mean_diagonal_similarity(),

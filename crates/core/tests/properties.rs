@@ -1,11 +1,15 @@
 //! Property tests for the attack-pipeline core: matching invariants and
 //! defense monotonicity, on the testkit harness.
 
+use neurodeanon_connectome::GroupMatrix;
 use neurodeanon_core::attack::{AttackConfig, AttackPlan, DeanonAttack, MatchRule};
 use neurodeanon_core::defense::{evaluate_defense, signature_edges, DefensePlan};
 use neurodeanon_core::matching::{argmax_matching, hungarian_matching, matching_accuracy};
 use neurodeanon_datasets::{HcpCohort, HcpCohortConfig, Session, Task};
 use neurodeanon_linalg::par::with_thread_count;
+use neurodeanon_linalg::stats::zscored_cols_into;
+use neurodeanon_linalg::svd::{leverage_scores_from_svd, thin_svd};
+use neurodeanon_linalg::vector::{argsort_desc, dot};
 use neurodeanon_linalg::{Matrix, Rng64};
 use neurodeanon_testkit::gen::{from_fn, u64_in, usize_in};
 use neurodeanon_testkit::{forall, tk_assert, tk_assert_eq, Config};
@@ -117,11 +121,39 @@ fn more_targeted_noise_never_helps_the_attacker() {
     });
 }
 
-/// The memoized plan is indistinguishable from the direct attack: for any
-/// cohort, feature budget, and rank restriction, `AttackPlan::run_with`
-/// returns bit-identical similarities, predictions, and selections to a
-/// fresh `DeanonAttack::run` — at 1 and 8 threads. This is the contract
-/// that lets every experiment sweep reuse one factorization.
+/// An independent attack built only from public linalg and matching calls:
+/// `thin_svd` → `leverage_scores_from_svd` → `argsort_desc` selects the top
+/// `t` known rows, `select_rows` restricts both groups, `zscored_cols_into`
+/// prepares both sides, every similarity is the element-wise
+/// `(dot · 1/t).clamp(±1)`, and `argmax_matching` predicts. Returns the
+/// selection, the similarity matrix, and the predictions.
+fn reference_attack(
+    known: &GroupMatrix,
+    anon: &GroupMatrix,
+    t: usize,
+    rank_k: Option<usize>,
+) -> (Vec<usize>, Matrix, Vec<usize>) {
+    let svd = thin_svd(known.as_matrix()).unwrap();
+    let mut selected = argsort_desc(&leverage_scores_from_svd(&svd, rank_k));
+    selected.truncate(t.min(known.n_features()));
+    let (mut kz, mut az) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+    zscored_cols_into(&known.as_matrix().select_rows(&selected).unwrap(), &mut kz);
+    zscored_cols_into(&anon.as_matrix().select_rows(&selected).unwrap(), &mut az);
+    let inv = 1.0 / selected.len() as f64;
+    let similarity = Matrix::from_fn(kz.rows(), az.rows(), |i, j| {
+        (dot(kz.row(i), az.row(j)) * inv).clamp(-1.0, 1.0)
+    });
+    let predicted = argmax_matching(&similarity).unwrap();
+    (selected, similarity, predicted)
+}
+
+/// The memoized plan is indistinguishable from the direct attack and from
+/// an independent reference: for any cohort, feature budget, and rank
+/// restriction, `AttackPlan::run_with` on a warm plan returns bit-identical
+/// similarities, predictions, and selections to a fresh
+/// `DeanonAttack::run` (a one-shot plan) and to [`reference_attack`] — at 1
+/// and 8 threads. This is the contract that lets every experiment sweep
+/// reuse one factorization.
 #[test]
 fn attack_plan_is_bitwise_equal_to_direct_attack() {
     forall!(Config::cases(6), (seed in u64_in(0..1000), t in usize_in(5..120), k in usize_in(1..6)) => {
@@ -131,7 +163,7 @@ fn attack_plan_is_bitwise_equal_to_direct_attack() {
         for rank_k in [None, Some(k)] {
             let config = AttackConfig { n_features: t, rank_k, ..Default::default() };
             for threads in [1usize, 8] {
-                let (direct, planned) = with_thread_count(threads, || {
+                let (direct, planned, reference) = with_thread_count(threads, || {
                     let direct = DeanonAttack::new(config.clone())
                         .unwrap()
                         .run(&known, &anon)
@@ -139,7 +171,8 @@ fn attack_plan_is_bitwise_equal_to_direct_attack() {
                     let mut plan = AttackPlan::prepare(known.clone(), config.clone()).unwrap();
                     // Second call hits the warm cache; both must agree.
                     plan.run_with(&anon, t, MatchRule::Argmax).unwrap();
-                    (direct, plan.run_against(&anon).unwrap())
+                    let planned = plan.run_against(&anon).unwrap();
+                    (direct, planned, reference_attack(&known, &anon, t, rank_k))
                 });
                 tk_assert_eq!(direct.predicted, planned.predicted, "threads={threads} rank_k={rank_k:?}");
                 tk_assert_eq!(direct.truth, planned.truth);
@@ -147,6 +180,13 @@ fn attack_plan_is_bitwise_equal_to_direct_attack() {
                 tk_assert_eq!(direct.accuracy.to_bits(), planned.accuracy.to_bits());
                 for (x, y) in direct.similarity.as_slice().iter().zip(planned.similarity.as_slice()) {
                     tk_assert_eq!(x.to_bits(), y.to_bits(), "threads={threads} rank_k={rank_k:?}");
+                }
+                let (selected, similarity, predicted) = reference;
+                tk_assert_eq!(&planned.selected_features, &selected, "reference selection, threads={threads} rank_k={rank_k:?}");
+                tk_assert_eq!(&planned.predicted, &predicted, "reference predictions, threads={threads} rank_k={rank_k:?}");
+                tk_assert_eq!(planned.similarity.shape(), similarity.shape());
+                for (x, y) in planned.similarity.as_slice().iter().zip(similarity.as_slice()) {
+                    tk_assert_eq!(x.to_bits(), y.to_bits(), "reference similarity, threads={threads} rank_k={rank_k:?}");
                 }
             }
         }

@@ -12,6 +12,10 @@ use neurodeanon_datasets::{
     Session, Task,
 };
 use neurodeanon_linalg::par::with_thread_count;
+use neurodeanon_linalg::rsvd::{randomized_svd_auto, RsvdConfig};
+use neurodeanon_linalg::svd::{leverage_scores_from_svd, thin_svd};
+use neurodeanon_linalg::vector::argsort_desc;
+use neurodeanon_sampling::{finite_rows, intersect_sorted, rows_with_any_finite};
 use neurodeanon_testkit::gen::{u64_in, usize_in};
 use neurodeanon_testkit::{forall, tk_assert, tk_assert_eq, Config};
 
@@ -179,6 +183,63 @@ fn degraded_known_side_is_survivable_under_mask() {
             (Err(CoreError::InsufficientSupport { .. }),
              Err(CoreError::InsufficientSupport { .. })) => {}
             (d, p) => tk_assert!(false, "plan/direct disagree: {d:?} vs {p:?}"),
+        }
+    });
+}
+
+/// The masked path's leverage selection under a rank restriction and under
+/// the randomized bank. With `Mask`, a cell-degraded anonymous release and
+/// a clean or region-degraded known side, `selected_features` equals a
+/// reference written out from public calls: the shared support
+/// (`finite_rows(known)` ∩ `rows_with_any_finite(anon)`), `select_rows`,
+/// `thin_svd` or `randomized_svd_auto`, `leverage_scores_from_svd`,
+/// `argsort_desc`, and the top `t` mapped back through the support — at 1
+/// and 8 threads. The randomized bank ignores `rank_k`.
+#[test]
+fn masked_selection_matches_reference_under_rank_k_and_randomized() {
+    forall!(Config::cases(6), (seed in u64_in(0..1000), t in usize_in(5..120),
+                               k in usize_in(1..6), known_step in usize_in(0..3)) => {
+        let cohort = tiny(seed);
+        let mut known = cohort.group_matrix(Task::Rest, Session::One).unwrap();
+        if known_step > 0 {
+            let severity = known_step as f64 * 0.25;
+            let spec = CorruptionSpec { kind: CorruptionKind::NanRegions, severity, seed };
+            known = corrupt_group(&known, &spec).unwrap().0;
+        }
+        let anon = cohort.group_matrix(Task::Rest, Session::Two).unwrap();
+        let spec = CorruptionSpec { kind: CorruptionKind::NanCells, severity: 0.5, seed };
+        let (anon, _) = corrupt_group(&anon, &spec).unwrap();
+        let shared = intersect_sorted(
+            &finite_rows(known.as_matrix()),
+            &rows_with_any_finite(anon.as_matrix()),
+        );
+        let known_sub = known.as_matrix().select_rows(&shared).unwrap();
+        let rsvd = RsvdConfig { rank: 4, power_iters: 2, ..Default::default() };
+        for (rank_k, randomized) in [
+            (Some(k), None),
+            (None, Some(rsvd.clone())),
+            (Some(k), Some(rsvd.clone())),
+        ] {
+            let (svd, score_rank) = match &randomized {
+                None => (thin_svd(&known_sub).unwrap(), rank_k),
+                Some(cfg) => (randomized_svd_auto(&known_sub, cfg).unwrap(), None),
+            };
+            let order = argsort_desc(&leverage_scores_from_svd(&svd, score_rank));
+            let expected: Vec<usize> =
+                order[..t.min(shared.len())].iter().map(|&i| shared[i]).collect();
+            let what = format!("rank_k={rank_k:?} randomized={}", randomized.is_some());
+            let attack = DeanonAttack::new(AttackConfig {
+                n_features: t,
+                rank_k,
+                randomized,
+                degraded: DegradedInput::Mask,
+                ..Default::default()
+            })
+            .unwrap();
+            for threads in [1usize, 8] {
+                let out = with_thread_count(threads, || attack.run(&known, &anon)).unwrap();
+                tk_assert_eq!(&out.selected_features, &expected, "threads={threads} {what}");
+            }
         }
     });
 }

@@ -246,7 +246,9 @@ pub fn corrupt_ts(ts: &Matrix, spec: &CorruptionSpec) -> Result<(Matrix, Corrupt
 /// Injects a pipeline-level fault into a finished group matrix, returning
 /// the corrupted copy and a report. Frame-indexed kinds (`CensorFrames`,
 /// `TruncateSession`, `Spikes`) are rejected with a typed error — the time
-/// axis no longer exists.
+/// axis no longer exists. So is `NanRegions` on a group that is not a full
+/// region-pair matrix (row count other than `n_regions·(n_regions−1)/2`):
+/// its rows cannot be traced back to regions.
 pub fn corrupt_group(
     group: &GroupMatrix,
     spec: &CorruptionSpec,
@@ -274,6 +276,14 @@ pub fn corrupt_group(
             let bad: std::collections::HashSet<usize> =
                 rng.sample_indices(n_regions, k).into_iter().collect();
             let idx = EdgeIndex::new(n_regions)?;
+            // Feature rows name region pairs only in a full region-pair
+            // matrix (not, say, a feature subset or a short CSV).
+            if out.n_features() != idx.n_features() {
+                return Err(DatasetError::InvalidConfig {
+                    name: "group",
+                    reason: "nan_regions needs one feature row per region pair",
+                });
+            }
             let m = out.as_matrix_mut();
             for (f, (a, b)) in idx.iter().enumerate() {
                 if bad.contains(&a) || bad.contains(&b) {
@@ -483,6 +493,27 @@ mod tests {
         for f in 0..m.rows() {
             let nans = m.row(f).iter().filter(|x| x.is_nan()).count();
             assert!(nans == 0 || nans == m.cols());
+        }
+    }
+
+    #[test]
+    fn group_nan_regions_rejects_partial_region_pair_matrices() {
+        // A short CSV that declares 40 regions but carries 3 feature rows.
+        let dir = std::env::temp_dir().join("neurodeanon_corruption_tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("short_group.csv");
+        std::fs::write(&path, "# regions=40\na,b\n1,2\n3,4\n5,6\n").unwrap();
+        let short = neurodeanon_connectome::io::read_group_csv(&path).unwrap();
+        assert_eq!((short.n_regions(), short.n_features()), (40, 3));
+        // A feature subset of a full 60-region group.
+        let cohort = HcpCohort::generate(HcpCohortConfig::small(4, 3)).unwrap();
+        let g = cohort.group_matrix(Task::Rest, Session::One).unwrap();
+        let subset = g.select_features(&(0..50).collect::<Vec<_>>()).unwrap();
+        for group in [&short, &subset] {
+            assert!(matches!(
+                corrupt_group(group, &spec(CorruptionKind::NanRegions, 0.5)),
+                Err(DatasetError::InvalidConfig { name: "group", .. })
+            ));
         }
     }
 

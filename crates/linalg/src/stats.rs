@@ -343,22 +343,13 @@ pub fn cross_correlation(a: &Matrix, b: &Matrix) -> Result<Matrix> {
             op: "cross_correlation",
         });
     }
-    // Z-score columns of both (as rows of the transposes, prepared on two
-    // threads — the operands are independent), then out = Aᵀ B / rows.
-    let (az, bz) = par::par_join(
-        || {
-            let mut az = Matrix::zeros(0, 0);
-            zscored_cols_into(a, &mut az);
-            az
-        },
-        || {
-            let mut bz = Matrix::zeros(0, 0);
-            zscored_cols_into(b, &mut bz);
-            bz
-        },
-    );
+    // Z-score the columns of `a` (as rows of its transpose), then let the
+    // fused query kernel z-score each column of `b` and correlate it.
+    let mut az = Matrix::zeros(0, 0);
+    zscored_cols_into(a, &mut az);
+    let mut bz = Matrix::zeros(0, 0);
     let mut out = Matrix::zeros(0, 0);
-    cross_correlation_zscored_into(&az, &bz, &mut out)?;
+    cross_correlation_fused_into(&az, b, &mut bz, &mut out)?;
     Ok(out)
 }
 
@@ -367,71 +358,26 @@ pub fn cross_correlation(a: &Matrix, b: &Matrix) -> Result<Matrix> {
 ///
 /// This is the preparation half of [`cross_correlation`], split out so a
 /// sweep can z-score its de-anonymized operand once and hold the result
-/// while many anonymous operands stream through the other side.
+/// while many anonymous operands stream through
+/// [`cross_correlation_fused_into`].
 pub fn zscored_cols_into(a: &Matrix, out: &mut Matrix) {
     let _span = neurodeanon_obs::span("stats.zscore_cols");
     a.transpose_into(out);
     zscore_rows(out);
 }
 
-/// The product half of [`cross_correlation`]: given operands already
-/// prepared by [`zscored_cols_into`] (rows are z-scored subject series of a
-/// common length), writes the subject-by-subject Pearson matrix
-/// (`az.rows() × bz.rows()`) into `out`, reusing `out`'s allocation.
-///
-/// Calling `zscored_cols_into` on both operands and then this function is
-/// bit-identical to [`cross_correlation`] — same kernels, same order — so
-/// caching the prepared side of a sweep cannot change a single result.
-pub fn cross_correlation_zscored_into(az: &Matrix, bz: &Matrix, out: &mut Matrix) -> Result<()> {
-    let _span = neurodeanon_obs::span("stats.xcorr_zscored");
-    if az.cols() != bz.cols() {
-        return Err(LinalgError::DimensionMismatch {
-            op: "cross_correlation",
-            lhs: az.shape(),
-            rhs: bz.shape(),
-        });
-    }
-    if az.is_empty() || bz.is_empty() {
-        return Err(LinalgError::EmptyMatrix {
-            op: "cross_correlation",
-        });
-    }
-    let t_len = az.cols();
-    let inv = 1.0 / t_len as f64;
-    let bcols = bz.rows();
-    out.reshape_for_overwrite(az.rows(), bcols);
-    // One output row per chunk: row i correlates subject i of `a` against
-    // every subject of `b`, reading shared z-scored operands and writing a
-    // disjoint row — the similarity matrix the matching step consumes.
-    par::par_chunks_mut(
-        out.as_mut_slice(),
-        bcols,
-        t_len,
-        CROSS_PAR_THRESHOLD,
-        |i, orow| {
-            let ai = az.row(i);
-            for (j, o) in orow.iter_mut().enumerate() {
-                *o = (dot(ai, bz.row(j)) * inv).clamp(-1.0, 1.0);
-            }
-        },
-    );
-    Ok(())
-}
-
 /// Fused query-path kernel: transposes + z-scores the columns of `b` and
 /// correlates them against the pre-z-scored rows of `az`, in one pass per
 /// query column.
 ///
-/// Semantically `zscored_cols_into(b, bz)` followed by
-/// [`cross_correlation_zscored_into`]`(az, bz, out)` — and **bit-identical**
-/// to that composition: the transpose is an exact copy, each query row is
-/// normalized by the same sequential [`zscore_in_place`] kernel, and every
-/// output element is the same `(dot · 1/t).clamp(±1)` expression in the same
-/// order. The fusion changes *when* the work happens, not what it computes:
-/// a query column is z-scored and immediately consumed for its `az.rows()`
-/// dot products while still cache-hot, instead of being written out in a
-/// z-scoring pass and re-read in a correlation pass. `bz` still receives the
-/// z-scored queries (it is the steady-state scratch the attack plan reuses).
+/// Output element `(i, j)` is `(dot(az_i, bz_j) · 1/t).clamp(±1)`, where
+/// `bz_j` is column `j` of `b` z-scored exactly as [`zscored_cols_into`]
+/// would (the transpose is an exact copy and [`zscore_rows`] runs the same
+/// sequential [`zscore_in_place`] kernel per row). Each query column is
+/// z-scored and immediately consumed for its `az.rows()` dot products while
+/// still cache-hot. `bz` receives the z-scored queries (it is the
+/// steady-state scratch the attack plan reuses). [`cross_correlation`] is
+/// this kernel after [`zscored_cols_into`] on its first operand.
 ///
 /// Parallelism is over query columns (each owns one column of `out`, written
 /// through [`DisjointMut`]); the determinism contract holds because each
@@ -874,22 +820,30 @@ mod tests {
         }
     }
 
+    /// Test-local reference for the dense correlation body: element-wise
+    /// `(dot(az_i, bz_j) · 1/t).clamp(±1)` over already z-scored rows.
+    fn reference_xcorr(az: &Matrix, bz: &Matrix) -> Matrix {
+        let inv = 1.0 / az.cols() as f64;
+        Matrix::from_fn(az.rows(), bz.rows(), |i, j| {
+            (dot(az.row(i), bz.row(j)) * inv).clamp(-1.0, 1.0)
+        })
+    }
+
     #[test]
     fn split_cross_correlation_is_bit_identical() {
-        // The workspace path (prepare each side, multiply into scratch) must
-        // reproduce cross_correlation exactly — this is the contract the
-        // attack plan's cached known side rests on.
+        // Preparing each side with `zscored_cols_into` and taking the scaled
+        // dots element by element must reproduce cross_correlation exactly —
+        // this is the contract the attack plan's cached known side rests on.
         let a = Matrix::from_fn(40, 6, |r, c| ((r * 3 + c * 7) % 13) as f64 - 6.0);
         let b = Matrix::from_fn(40, 5, |r, c| ((r * 5 + c * 11) % 9) as f64 - 4.0);
         let direct = cross_correlation(&a, &b).unwrap();
         let mut az = Matrix::filled(3, 3, 9.0); // dirty scratch
         let mut bz = Matrix::filled(1, 7, -2.0);
-        let mut out = Matrix::zeros(2, 2);
         zscored_cols_into(&a, &mut az);
         zscored_cols_into(&b, &mut bz);
-        cross_correlation_zscored_into(&az, &bz, &mut out).unwrap();
-        assert_eq!(out.shape(), direct.shape());
-        for (x, y) in out.as_slice().iter().zip(direct.as_slice()) {
+        let split = reference_xcorr(&az, &bz);
+        assert_eq!(split.shape(), direct.shape());
+        for (x, y) in split.as_slice().iter().zip(direct.as_slice()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
     }
@@ -904,9 +858,8 @@ mod tests {
         let mut az = Matrix::zeros(0, 0);
         zscored_cols_into(&a, &mut az);
         let mut bz_split = Matrix::zeros(0, 0);
-        let mut split = Matrix::zeros(0, 0);
         zscored_cols_into(&b, &mut bz_split);
-        cross_correlation_zscored_into(&az, &bz_split, &mut split).unwrap();
+        let split = reference_xcorr(&az, &bz_split);
         let mut bz_fused = Matrix::filled(2, 9, 3.0); // dirty scratch
         let mut fused = Matrix::filled(1, 4, -5.0);
         cross_correlation_fused_into(&az, &b, &mut bz_fused, &mut fused).unwrap();
@@ -988,16 +941,6 @@ mod tests {
         assert!(
             cross_correlation_batched_into(&empty, &[good.as_slice()], &mut bz, &mut out).is_err()
         );
-    }
-
-    #[test]
-    fn cross_correlation_zscored_rejects_mismatch_and_empty() {
-        let az = Matrix::zeros(3, 10);
-        let bz = Matrix::zeros(4, 9);
-        let mut out = Matrix::zeros(0, 0);
-        assert!(cross_correlation_zscored_into(&az, &bz, &mut out).is_err());
-        let empty = Matrix::zeros(0, 0);
-        assert!(cross_correlation_zscored_into(&empty, &az, &mut out).is_err());
     }
 
     #[test]

@@ -196,9 +196,9 @@ fn round_robin_rounds(n: usize) -> Vec<Vec<(usize, usize)>> {
 /// accumulates the rotations.
 ///
 /// Works on column-major copies (`wt` holds `Wᵀ`, so column `c` of `W` is the
-/// contiguous row `c` of `wt`) and visits pairs in [`round_robin_rounds`]
-/// order: each round's pairs touch disjoint columns, so the round runs in
-/// parallel with bit-identical results at any thread count.
+/// contiguous row `c` of `wt`) and visits pairs in round-robin ("circle
+/// method") order: each round's pairs touch disjoint columns, so the round
+/// runs in parallel with bit-identical results at any thread count.
 ///
 /// Public so benches can time this route directly against [`thin_svd`]'s
 /// shape dispatch and the randomized subspace path; library code should call

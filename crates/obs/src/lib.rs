@@ -13,7 +13,7 @@
 //! * **Observability never changes bits.** Instrumentation only ever reads
 //!   clocks and bumps atomics; a traced run's numerical output is bitwise
 //!   identical to an untraced one at any thread count.
-//! * **Disabled tracing is near-free.** [`span`] starts with one relaxed
+//! * **Disabled tracing is near-free.** [`span()`] starts with one relaxed
 //!   atomic load and returns an inert guard when tracing is off; no clock is
 //!   read, no lock is taken, no allocation happens. Counters and gauges stay
 //!   live even with tracing disabled (they are single relaxed atomic RMWs and

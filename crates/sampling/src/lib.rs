@@ -28,9 +28,7 @@ pub mod support;
 
 pub use distribution::SamplingDistribution;
 pub use error::SamplingError;
-pub use principal::{
-    principal_features, principal_features_approx, LeverageBank, PrincipalFeatures,
-};
+pub use principal::{principal_features, LeverageBank, PrincipalFeatures};
 pub use row_sample::{row_sample, RowSample};
 pub use support::{finite_rows, intersect_sorted, rows_with_any_finite, shared_support};
 

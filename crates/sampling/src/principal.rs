@@ -9,8 +9,8 @@
 
 use crate::error::SamplingError;
 use crate::Result;
-use neurodeanon_linalg::rsvd::{randomized_leverage_scores, randomized_svd_auto, RsvdConfig};
-use neurodeanon_linalg::svd::{leverage_scores_from_svd, thin_svd};
+use neurodeanon_linalg::rsvd::{randomized_svd_auto, RsvdConfig};
+use neurodeanon_linalg::svd::{leverage_scores_from_svd, thin_svd, Svd};
 use neurodeanon_linalg::vector::argsort_desc;
 use neurodeanon_linalg::Matrix;
 
@@ -38,26 +38,15 @@ impl PrincipalFeatures {
 /// singular directions (the rank-`k` leverage scores of the Equation 4
 /// guarantee); `None` uses the full column space, the paper's default.
 ///
-/// One call costs one thin SVD. A sweep that selects from the *same* matrix
-/// many times (varying `t` or `rank_k`) should build a [`LeverageBank`]
-/// once instead — its selections are bit-for-bit identical to this function
-/// at a fraction of the cost.
+/// This is `LeverageBank::new(a)?.select(t, rank_k)`: one call costs one
+/// thin SVD. A sweep that selects from the *same* matrix many times
+/// (varying `t` or `rank_k`) should keep the [`LeverageBank`] instead.
 pub fn principal_features(
     a: &Matrix,
     t: usize,
     rank_k: Option<usize>,
 ) -> Result<PrincipalFeatures> {
-    if t == 0 || t > a.rows() {
-        return Err(SamplingError::InvalidSampleCount {
-            requested: t,
-            available: a.rows(),
-        });
-    }
-    let svd = thin_svd(a)?;
-    let scores = leverage_scores_from_svd(&svd, rank_k);
-    let mut indices = argsort_desc(&scores);
-    indices.truncate(t);
-    Ok(PrincipalFeatures { indices, scores })
+    LeverageBank::new(a)?.select(t, rank_k)
 }
 
 /// A memoized leverage-score selector: the thin SVD of one matrix, factored
@@ -67,28 +56,24 @@ pub fn principal_features(
 /// retained-feature count, so the paper's sweep-shaped evaluation (Figure 4
 /// varies `t`, Figure 5 runs an 8 × 8 task grid, Table 2 sweeps noise
 /// levels) never needs more than one factorization per de-anonymized group
-/// matrix. The bank holds the thin `U` (`m × n`; ~52 MB for the paper's
-/// 64,620 × 100 HCP group matrix) plus the full descending ordering of the
-/// default full-column-space scores:
+/// matrix. The bank holds the factorization (its thin `U` is `m × n`;
+/// ~52 MB for the paper's 64,620 × 100 HCP group matrix) plus the full
+/// descending ordering of the default full-column-space scores:
 ///
 /// * `rank_k = None` selections are an O(`t`) slice of the precomputed
 ///   ordering;
-/// * `rank_k = Some(k)` selections rescore from the cached `U` rows —
+/// * `rank_k = Some(k)` selections rescore from the cached factorization —
 ///   an O(`m·k`) pass — without a second SVD.
 ///
-/// Every selection is **bit-for-bit identical** to calling
-/// [`principal_features`] on the same matrix: the scores come from the same
-/// deterministic factorization, summed in the same order, and ties break on
-/// the same lower-index rule (see the property suite in
-/// `tests/properties.rs`, which checks this across thread counts).
+/// Every score is [`leverage_scores_from_svd`] of the bank's factorization
+/// and ties break on the lower row index, so a selection is exactly
+/// `thin_svd` → `leverage_scores_from_svd` → `argsort_desc`, truncated to
+/// `t` (the property suite in `tests/properties.rs` checks this across
+/// thread counts).
 #[derive(Debug, Clone)]
 pub struct LeverageBank {
-    /// Thin left singular vectors of the factored matrix (`m × n`).
-    u: Matrix,
-    /// Singular values, descending.
-    sigma: Vec<f64>,
-    /// Numerical rank of the factorization (`Svd::rank` at build time).
-    rank: usize,
+    /// The factorization: the exact thin SVD, or the leading subspace.
+    svd: Svd,
     /// Full-column-space leverage scores (the `rank_k = None` default).
     scores: Vec<f64>,
     /// `argsort_desc(scores)` — the full descending leverage ordering.
@@ -100,17 +85,7 @@ impl LeverageBank {
     /// ever perform) and precomputes the default descending ordering.
     pub fn new(a: &Matrix) -> Result<Self> {
         let _span = neurodeanon_obs::span("bank.build");
-        let svd = thin_svd(a)?;
-        let rank = svd.rank();
-        let scores = leverage_scores_from_svd(&svd, None);
-        let order = argsort_desc(&scores);
-        Ok(LeverageBank {
-            u: svd.u,
-            sigma: svd.sigma,
-            rank,
-            scores,
-            order,
-        })
+        Ok(Self::from_svd(thin_svd(a)?))
     }
 
     /// Builds the bank from a blocked randomized subspace iteration
@@ -134,116 +109,77 @@ impl LeverageBank {
     /// remain the exact paths and are untouched by this constructor.
     pub fn new_subspace(a: &Matrix, config: &RsvdConfig) -> Result<Self> {
         let _span = neurodeanon_obs::span("bank.build_subspace");
-        let svd = randomized_svd_auto(a, config)?;
-        let rank = svd.rank();
+        Ok(Self::from_svd(randomized_svd_auto(a, config)?))
+    }
+
+    fn from_svd(svd: Svd) -> Self {
         let scores = leverage_scores_from_svd(&svd, None);
         let order = argsort_desc(&scores);
-        Ok(LeverageBank {
-            u: svd.u,
-            sigma: svd.sigma,
-            rank,
-            scores,
-            order,
-        })
+        LeverageBank { svd, scores, order }
     }
 
     /// Number of rows (features) of the factored matrix.
     pub fn n_rows(&self) -> usize {
-        self.u.rows()
+        self.svd.u.rows()
     }
 
     /// Numerical rank of the factored matrix.
     pub fn rank(&self) -> usize {
-        self.rank
+        self.svd.rank()
     }
 
     /// Singular values of the factored matrix, descending.
     pub fn singular_values(&self) -> &[f64] {
-        &self.sigma
+        &self.svd.sigma
     }
 
-    /// Leverage scores for the given rank restriction, matching
-    /// [`neurodeanon_linalg::svd::leverage_scores_from_svd`] bit-for-bit.
-    /// `None` returns the cached full-column-space scores; `Some(k)`
-    /// rescores from the cached `U` without refactorizing.
+    /// Leverage scores for the given rank restriction:
+    /// [`leverage_scores_from_svd`] of the cached factorization (`None`
+    /// returns the scores computed at build time).
     pub fn scores(&self, rank_k: Option<usize>) -> Vec<f64> {
         match rank_k {
             None => self.scores.clone(),
-            Some(k) => {
-                let keep = k.min(self.rank);
-                let mut scores = vec![0.0; self.u.rows()];
-                for (r, score) in scores.iter_mut().enumerate() {
-                    let row = self.u.row(r);
-                    *score = row[..keep].iter().map(|x| x * x).sum();
-                }
-                scores
-            }
+            Some(_) => leverage_scores_from_svd(&self.svd, rank_k),
         }
     }
 
     /// Top-`t` selected row indices, in decreasing leverage order — the
-    /// `indices` field of [`principal_features`]' result, without the
-    /// full score vector. O(`t`) for `rank_k = None`.
+    /// `indices` field of [`LeverageBank::select`], without the full score
+    /// vector. O(`t`) for `rank_k = None`.
     pub fn select_indices(&self, t: usize, rank_k: Option<usize>) -> Result<Vec<usize>> {
-        self.validate_t(t)?;
         match rank_k {
-            None => Ok(self.order[..t].to_vec()),
-            Some(_) => {
-                let mut indices = argsort_desc(&self.scores(rank_k));
-                indices.truncate(t);
-                Ok(indices)
+            None => {
+                self.validate_t(t)?;
+                Ok(self.order[..t].to_vec())
             }
+            Some(_) => Ok(self.select(t, rank_k)?.indices),
         }
     }
 
-    /// Full selection result, interchangeable with
-    /// [`principal_features`]`(a, t, rank_k)` for the factored matrix.
+    /// The top-`t` rows under `rank_k`, with the score of every row.
     pub fn select(&self, t: usize, rank_k: Option<usize>) -> Result<PrincipalFeatures> {
         self.validate_t(t)?;
-        match rank_k {
-            None => Ok(PrincipalFeatures {
-                indices: self.order[..t].to_vec(),
-                scores: self.scores.clone(),
-            }),
+        let scores = self.scores(rank_k);
+        let indices = match rank_k {
+            None => self.order[..t].to_vec(),
             Some(_) => {
-                let scores = self.scores(rank_k);
                 let mut indices = argsort_desc(&scores);
                 indices.truncate(t);
-                Ok(PrincipalFeatures { indices, scores })
+                indices
             }
-        }
+        };
+        Ok(PrincipalFeatures { indices, scores })
     }
 
     fn validate_t(&self, t: usize) -> Result<()> {
-        if t == 0 || t > self.u.rows() {
+        if t == 0 || t > self.n_rows() {
             return Err(SamplingError::InvalidSampleCount {
                 requested: t,
-                available: self.u.rows(),
+                available: self.n_rows(),
             });
         }
         Ok(())
     }
-}
-
-/// Approximate top-`t` leverage selection via the randomized SVD — the
-/// fast path when the group matrix is too large for an exact thin SVD
-/// (e.g. voxel-level feature spaces). Scores come from the leading
-/// `config.rank` randomized singular directions.
-pub fn principal_features_approx(
-    a: &Matrix,
-    t: usize,
-    config: &RsvdConfig,
-) -> Result<PrincipalFeatures> {
-    if t == 0 || t > a.rows() {
-        return Err(SamplingError::InvalidSampleCount {
-            requested: t,
-            available: a.rows(),
-        });
-    }
-    let scores = randomized_leverage_scores(a, config)?;
-    let mut indices = argsort_desc(&scores);
-    indices.truncate(t);
-    Ok(PrincipalFeatures { indices, scores })
 }
 
 #[cfg(test)]
@@ -340,28 +276,22 @@ mod tests {
         a.set_row(11, &[5.0, 0.0, 0.0, 1.0]).unwrap();
         a.set_row(37, &[0.0, 4.0, -1.0, 0.0]).unwrap();
         let exact = principal_features(&a, 2, None).unwrap();
-        let approx = principal_features_approx(
+        let approx = LeverageBank::new_subspace(
             &a,
-            2,
             &RsvdConfig {
                 rank: 3,
                 power_iters: 2,
                 ..Default::default()
             },
         )
+        .unwrap()
+        .select(2, None)
         .unwrap();
         let mut e = exact.indices.clone();
         let mut x = approx.indices.clone();
         e.sort_unstable();
         x.sort_unstable();
         assert_eq!(e, x);
-    }
-
-    #[test]
-    fn approx_validates_t() {
-        let a = Matrix::from_fn(10, 2, |r, c| (r + c) as f64);
-        assert!(principal_features_approx(&a, 0, &RsvdConfig::default()).is_err());
-        assert!(principal_features_approx(&a, 11, &RsvdConfig::default()).is_err());
     }
 
     #[test]
@@ -377,15 +307,19 @@ mod tests {
         let a = Matrix::from_fn(50, 4, |r, c| ((r * 7 + c * 11) % 19) as f64 - 9.0);
         let bank = LeverageBank::new(&a).unwrap();
         assert_eq!(bank.n_rows(), 50);
+        // Reference: thin SVD → leverage scores → descending argsort.
+        let svd = thin_svd(&a).unwrap();
         for t in [1usize, 3, 10, 50] {
             for rank_k in [None, Some(1), Some(2), Some(4), Some(9)] {
-                let direct = principal_features(&a, t, rank_k).unwrap();
+                let scores = leverage_scores_from_svd(&svd, rank_k);
+                let mut indices = argsort_desc(&scores);
+                indices.truncate(t);
                 let banked = bank.select(t, rank_k).unwrap();
-                assert_eq!(banked.indices, direct.indices, "t={t} rank_k={rank_k:?}");
-                for (x, y) in banked.scores.iter().zip(&direct.scores) {
+                assert_eq!(banked.indices, indices, "t={t} rank_k={rank_k:?}");
+                for (x, y) in banked.scores.iter().zip(&scores) {
                     assert_eq!(x.to_bits(), y.to_bits(), "t={t} rank_k={rank_k:?}");
                 }
-                assert_eq!(bank.select_indices(t, rank_k).unwrap(), direct.indices);
+                assert_eq!(bank.select_indices(t, rank_k).unwrap(), indices);
             }
         }
     }

@@ -5,7 +5,7 @@
 //! A from-scratch, dependency-free verification substrate for the
 //! workspace: a property-testing harness (the [`forall!`] macro plus the
 //! [`gen`] generators and [`runner`]) and a minimal JSON reader/writer
-//! ([`json`]) used by the reproduction harness's machine-readable reports.
+//! ([`mod@json`]) used by the reproduction harness's machine-readable reports.
 //!
 //! The whole workspace promises **zero external dependencies** so that
 //! `cargo build --release --offline && cargo test -q --offline` passes from

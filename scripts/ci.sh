@@ -14,6 +14,11 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# Rustdoc must build warning-free: a doc link to a deleted or private item
+# (or an ambiguous one) fails here instead of rotting silently.
+echo "==> RUSTDOCFLAGS=-D warnings cargo doc --workspace --no-deps"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 
@@ -88,7 +93,8 @@ NEURODEANON_BENCH_SCALE=small \
   cargo bench -p neurodeanon-bench --bench kernels --offline
 
 # Bench smoke: the sweeps bench at small scale appends its records to the
-# JSON trajectory and asserts plan/direct bit-identity, the one-SVD-per-plan
+# JSON trajectory and asserts that a warm plan is bit-identical to
+# `DeanonAttack::run` (a fresh one-shot plan per call), the one-SVD-per-plan
 # invariant, and that the trajectory parses with testkit::json.
 echo "==> bench smoke: sweeps @ small -> \${NEURODEANON_BENCH_JSON:-bench_results.jsonl}"
 NEURODEANON_BENCH_SCALE=small \
