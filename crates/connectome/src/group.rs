@@ -10,13 +10,20 @@ use crate::error::ConnectomeError;
 use crate::matrix::Connectome;
 use crate::Result;
 use neurodeanon_linalg::Matrix;
+use std::sync::OnceLock;
 
 /// A features × subjects matrix with subject labels.
+///
+/// The number of non-finite cells is a fact of the values, so it is counted
+/// at most once per value ([`GroupMatrix::n_non_finite`]) and cached: a
+/// clone carries the count, and [`GroupMatrix::as_matrix_mut`] drops it.
 #[derive(Debug, Clone)]
 pub struct GroupMatrix {
     data: Matrix,
     subject_ids: Vec<String>,
     n_regions: usize,
+    /// Non-finite cells of `data`; empty until first asked for.
+    non_finite: OnceLock<usize>,
 }
 
 impl GroupMatrix {
@@ -57,6 +64,7 @@ impl GroupMatrix {
             data,
             subject_ids: subject_ids.to_vec(),
             n_regions,
+            non_finite: OnceLock::new(),
         })
     }
 
@@ -77,6 +85,7 @@ impl GroupMatrix {
             data,
             subject_ids,
             n_regions,
+            non_finite: OnceLock::new(),
         })
     }
 
@@ -109,9 +118,26 @@ impl GroupMatrix {
     ///
     /// Shape is fixed by construction; this exists so in-place transforms
     /// (defenses, fault injection, imputation) can edit values without
-    /// rebuilding the group.
+    /// rebuilding the group. It drops the cached non-finite count before
+    /// handing out the matrix, so the next [`GroupMatrix::n_non_finite`]
+    /// recounts whatever the edit left behind.
     pub fn as_matrix_mut(&mut self) -> &mut Matrix {
+        self.non_finite.take();
         &mut self.data
+    }
+
+    /// Number of NaN/±inf cells, counted in one pass on first use and
+    /// cached until [`GroupMatrix::as_matrix_mut`] hands out the values for
+    /// editing. Construction never counts, so ingest pays nothing; a
+    /// matrix attacked many times (the Figure 4 sweep) is counted once.
+    pub fn n_non_finite(&self) -> usize {
+        *self.non_finite.get_or_init(|| {
+            self.data
+                .as_slice()
+                .iter()
+                .filter(|x| !x.is_finite())
+                .count()
+        })
     }
 
     /// One subject's feature vector (a column).
@@ -127,6 +153,7 @@ impl GroupMatrix {
             data,
             subject_ids: self.subject_ids.clone(),
             n_regions: self.n_regions,
+            non_finite: OnceLock::new(),
         })
     }
 
@@ -149,6 +176,7 @@ impl GroupMatrix {
             data,
             subject_ids: ids,
             n_regions: self.n_regions,
+            non_finite: OnceLock::new(),
         })
     }
 

@@ -2,7 +2,8 @@
 
 use neurodeanon_connectome::{Connectome, EdgeIndex, GroupMatrix};
 use neurodeanon_linalg::Matrix;
-use neurodeanon_testkit::gen::{matrix_in, u64_in, usize_in, vec_of, Gen};
+use neurodeanon_linalg::Rng64;
+use neurodeanon_testkit::gen::{from_fn, matrix_in, u64_in, usize_in, vec_of, Gen};
 use neurodeanon_testkit::{forall, tk_assert, tk_assert_eq, Config};
 
 fn cfg() -> Config {
@@ -104,6 +105,100 @@ fn to_points_is_transpose() {
             for f in 0..3 {
                 tk_assert_eq!(p[(s, f)], g.as_matrix()[(f, s)]);
             }
+        }
+    });
+}
+
+/// One step of the cache-staleness property: an edit through
+/// `as_matrix_mut`, a count, or a clone, each aimed at one group of the
+/// pool (the original plus every clone taken so far).
+#[derive(Debug, Clone)]
+enum CacheOp {
+    Write {
+        g: usize,
+        r: usize,
+        c: usize,
+        v: f64,
+    },
+    Count {
+        g: usize,
+    },
+    Clone {
+        g: usize,
+    },
+}
+
+/// A NaN, ±inf or finite cell value.
+fn any_cell(rng: &mut Rng64) -> f64 {
+    match rng.below(4) {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        _ => rng.uniform_range(-3.0, 3.0),
+    }
+}
+
+fn fresh_count(g: &GroupMatrix) -> usize {
+    g.as_matrix()
+        .as_slice()
+        .iter()
+        .filter(|x| !x.is_finite())
+        .count()
+}
+
+/// The cached non-finite count never goes stale: after any interleaving of
+/// in-place edits, counts and clones (taken before and after a count), each
+/// group's `n_non_finite` equals a fresh count of its own cells.
+#[test]
+fn cached_non_finite_count_never_goes_stale() {
+    let case = from_fn(|rng: &mut Rng64| {
+        let (rows, cols) = (1 + rng.below(12), 1 + rng.below(5));
+        let m = Matrix::from_fn(rows, cols, |_, _| {
+            if rng.below(8) == 0 {
+                any_cell(rng)
+            } else {
+                rng.uniform_range(-3.0, 3.0)
+            }
+        });
+        let ops: Vec<CacheOp> = (0..1 + rng.below(24))
+            .map(|_| {
+                let g = rng.below(4);
+                match rng.below(3) {
+                    0 => CacheOp::Write {
+                        g,
+                        r: rng.below(rows),
+                        c: rng.below(cols),
+                        v: any_cell(rng),
+                    },
+                    1 => CacheOp::Count { g },
+                    _ => CacheOp::Clone { g },
+                }
+            })
+            .collect();
+        (m, ops)
+    });
+    forall!(cfg(), (case in case) => {
+        let (m, ops) = case;
+        let ids: Vec<String> = (0..m.cols()).map(|i| format!("s{i}")).collect();
+        let mut pool = vec![GroupMatrix::from_matrix(m, ids, 4).unwrap()];
+        for op in &ops {
+            match *op {
+                CacheOp::Write { g, r, c, v } => {
+                    let n = pool.len();
+                    pool[g % n].as_matrix_mut()[(r, c)] = v;
+                }
+                CacheOp::Count { g } => {
+                    let grp = &pool[g % pool.len()];
+                    tk_assert_eq!(grp.n_non_finite(), fresh_count(grp), "after {op:?}");
+                }
+                CacheOp::Clone { g } => {
+                    let copy = pool[g % pool.len()].clone();
+                    pool.push(copy);
+                }
+            }
+        }
+        for (i, grp) in pool.iter().enumerate() {
+            tk_assert_eq!(grp.n_non_finite(), fresh_count(grp), "group {i} at the end");
         }
     });
 }

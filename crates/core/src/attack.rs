@@ -23,8 +23,8 @@ use crate::Result;
 use neurodeanon_connectome::GroupMatrix;
 use neurodeanon_linalg::rsvd::RsvdConfig;
 use neurodeanon_linalg::stats::{
-    cross_correlation, cross_correlation_batched_into, cross_correlation_fused_into,
-    cross_correlation_masked, impute_row_means, zscored_cols_into,
+    cross_correlation, cross_correlation_fused_into, cross_correlation_masked,
+    cross_correlation_rows_into, impute_row_means, zscored_cols_into,
 };
 use neurodeanon_linalg::Matrix;
 use neurodeanon_sampling::{finite_rows, intersect_sorted, rows_with_any_finite, LeverageBank};
@@ -309,6 +309,9 @@ impl DeanonAttack {
                 anon: anon.n_features(),
             });
         }
+        // Count on the caller's matrix, so the copy inherits the count and
+        // repeated runs against one known matrix count it once.
+        known.n_non_finite();
         AttackPlan::prepare(known.clone(), self.config.clone())?.run_against(anon)
     }
 }
@@ -385,13 +388,10 @@ fn masked_attack(
 /// The [`CoreError::NonFiniteInput`] blaming `side` for the non-finite
 /// cells of `group`.
 fn non_finite_error(side: &'static str, group: &GroupMatrix) -> CoreError {
-    let n_non_finite = group
-        .as_matrix()
-        .as_slice()
-        .iter()
-        .filter(|x| !x.is_finite())
-        .count();
-    CoreError::NonFiniteInput { side, n_non_finite }
+    CoreError::NonFiniteInput {
+        side,
+        n_non_finite: group.n_non_finite(),
+    }
 }
 
 /// Matching + ground-truth scoring of the memoized path: derives
@@ -560,6 +560,13 @@ struct Gallery {
 /// steady-state sweep performs no large allocations — only the returned
 /// similarity matrix (subjects × subjects, small) is freshly allocated.
 ///
+/// The degraded-input policy reads each operand's cached count
+/// ([`GroupMatrix::n_non_finite`]) instead of scanning it, so a sweep that
+/// attacks one anonymous matrix at many `t` counts its cells once, on the
+/// first call. `Reject` still refuses a non-finite value in any cell,
+/// selected or not; an edit through [`GroupMatrix::as_matrix_mut`] drops
+/// the count, so the next call recounts.
+///
 /// [`DeanonAttack::run`] is a plan prepared, run once and dropped, so a
 /// long-lived plan must agree with it **bit for bit**, whatever its cache
 /// holds: each selection is a prefix of the order (on the exact path,
@@ -577,10 +584,9 @@ pub struct AttackPlan {
     known_red: Matrix,
     known_z: Matrix,
     anon_red: Matrix,
+    /// Query-row scratch of the correlation kernels: the z-scored anonymous
+    /// columns, or a serve batch's gathered query rows (`Q × t`).
     anon_z: Matrix,
-    /// Serve-path scratch: the batch's reduced query rows (`Q × t`),
-    /// reused across [`AttackPlan::correlate_batch`] calls.
-    batch_red: Matrix,
 }
 
 impl AttackPlan {
@@ -601,7 +607,7 @@ impl AttackPlan {
     pub fn prepare(mut known: GroupMatrix, config: AttackConfig) -> Result<Self> {
         let _span = neurodeanon_obs::span("plan.prepare");
         config.validate()?;
-        let factor = if known.as_matrix().is_finite() {
+        let factor = if known.n_non_finite() == 0 {
             true
         } else {
             match config.degraded {
@@ -632,7 +638,6 @@ impl AttackPlan {
             known_z: Matrix::zeros(0, 0),
             anon_red: Matrix::zeros(0, 0),
             anon_z: Matrix::zeros(0, 0),
-            batch_red: Matrix::zeros(0, 0),
         })
     }
 
@@ -683,7 +688,7 @@ impl AttackPlan {
             });
         }
         let t = n_features.min(g.known.n_features());
-        if g.order.is_none() || !anon.as_matrix().is_finite() {
+        if g.order.is_none() || anon.n_non_finite() != 0 {
             match g.config.degraded {
                 // `prepare` refused a non-finite known under `Reject`.
                 DegradedInput::Reject => {
@@ -755,16 +760,19 @@ impl AttackPlan {
     /// bit-identical to the similarity column produced by running query `j`
     /// alone through [`AttackPlan::run_with`] on the clean memoized path —
     /// the gather below reproduces `select_rows_into` element-for-element
-    /// and [`cross_correlation_batched_into`] reproduces the fused kernel's
+    /// and [`cross_correlation_rows_into`] runs the fused kernel's
     /// per-column expressions exactly. Batch packing and batch order can
     /// therefore never change a response.
     ///
-    /// The batched path is clean-only: queries must be fully finite and of
-    /// the gallery's full feature length (typed errors otherwise — degraded
-    /// queries go through the per-query policy paths instead), and the plan
-    /// must have a factorization (a mask-degraded known matrix has none).
+    /// The batched path is clean-only. Every query is checked here in one
+    /// pass, in order, and the first bad one fails the batch: an empty batch
+    /// is [`CoreError::InvalidParameter`], a query whose length is not the
+    /// gallery's feature count is [`CoreError::IncompatibleGroups`], and a
+    /// query with NaN/inf cells is [`CoreError::NonFiniteInput`] with its
+    /// count (degraded queries go through the per-query policy paths
+    /// instead). The plan must have a factorization (a mask-degraded known
+    /// matrix has none).
     pub fn correlate_batch(&mut self, queries: &[&[f64]]) -> Result<Matrix> {
-        let _span = neurodeanon_obs::span("plan.batch");
         if queries.is_empty() {
             return Err(CoreError::InvalidParameter {
                 name: "queries",
@@ -772,40 +780,42 @@ impl AttackPlan {
             });
         }
         let want = self.known().n_features();
-        for q in queries.iter() {
-            if q.len() != want {
-                return Err(CoreError::IncompatibleGroups {
+        let clean = queries
+            .iter()
+            .map(|q| match CleanQuery::check(q, want) {
+                QueryCheck::Clean(c) => Ok(c),
+                QueryCheck::WrongLength { got } => Err(CoreError::IncompatibleGroups {
                     known: want,
-                    anon: q.len(),
-                });
-            }
-            let n_non_finite = q.iter().filter(|x| !x.is_finite()).count();
-            if n_non_finite > 0 {
-                return Err(CoreError::NonFiniteInput {
+                    anon: got,
+                }),
+                QueryCheck::NonFinite { n_non_finite } => Err(CoreError::NonFiniteInput {
                     side: "anon",
                     n_non_finite,
-                });
-            }
-        }
-        let t = self.config().n_features.min(want);
+                }),
+            })
+            .collect::<Result<Vec<_>>>()?;
+        self.correlate_clean(&clean)
+    }
+
+    /// [`AttackPlan::correlate_batch`] after validation: gathers each
+    /// query's `t` selected features straight into the kernel's query-row
+    /// scratch and correlates them. Only [`CleanQuery::check`] builds its
+    /// input, so nothing here re-scans a query.
+    pub(crate) fn correlate_clean(&mut self, queries: &[CleanQuery<'_>]) -> Result<Matrix> {
+        let _span = neurodeanon_obs::span("plan.batch");
+        let t = self.config().n_features.min(self.known().n_features());
         self.ensure_selection(t)?;
-        // Gather the selected features of every query into reduced rows —
-        // the same elements, in the same order, that `select_rows_into`
-        // lays out as columns on the per-query path.
-        if self.batch_red.shape() != (queries.len(), self.indices.len()) {
-            self.batch_red = Matrix::zeros(queries.len(), self.indices.len());
+        // The same elements, in the same order, that `select_rows_into`
+        // lays out as columns on the per-query path; the scratch keeps its
+        // allocation across batch sizes.
+        let mut rows = std::mem::replace(&mut self.anon_z, Matrix::zeros(0, 0)).into_vec();
+        rows.clear();
+        for q in queries {
+            rows.extend(self.indices.iter().map(|&i| q.0[i]));
         }
-        for (row, q) in queries.iter().enumerate() {
-            let dst = self.batch_red.row_mut(row);
-            for (k, &idx) in self.indices.iter().enumerate() {
-                dst[k] = q[idx];
-            }
-        }
-        let rows: Vec<&[f64]> = (0..self.batch_red.rows())
-            .map(|r| self.batch_red.row(r))
-            .collect();
+        self.anon_z = Matrix::from_vec(queries.len(), t, rows)?;
         let mut similarity = Matrix::zeros(0, 0);
-        cross_correlation_batched_into(&self.known_z, &rows, &mut self.anon_z, &mut similarity)?;
+        cross_correlation_rows_into(&self.known_z, &mut self.anon_z, &mut similarity)?;
         Ok(similarity)
     }
 
@@ -832,6 +842,37 @@ impl AttackPlan {
         self.selection = Some(t);
         gallery_bytes_gauge().set(std::mem::size_of_val(self.known_z.as_slice()) as f64);
         Ok(())
+    }
+}
+
+/// A query vector of the gallery's full feature length with no NaN/inf
+/// cell: the only input [`AttackPlan::correlate_clean`] takes. Only
+/// [`CleanQuery::check`] builds one.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CleanQuery<'a>(&'a [f64]);
+
+/// What one validation pass found in a query vector.
+#[derive(Debug)]
+pub(crate) enum QueryCheck<'a> {
+    /// Full length and fully finite: ready for the batched kernel.
+    Clean(CleanQuery<'a>),
+    /// The vector has `got` features, not the gallery's count.
+    WrongLength { got: usize },
+    /// Full length, with this many NaN/inf cells.
+    NonFinite { n_non_finite: usize },
+}
+
+impl<'a> CleanQuery<'a> {
+    /// Checks `values` against a gallery of `want` features in one pass:
+    /// its length, then its non-finite count.
+    pub(crate) fn check(values: &'a [f64], want: usize) -> QueryCheck<'a> {
+        if values.len() != want {
+            return QueryCheck::WrongLength { got: values.len() };
+        }
+        match values.iter().filter(|x| !x.is_finite()).count() {
+            0 => QueryCheck::Clean(CleanQuery(values)),
+            n_non_finite => QueryCheck::NonFinite { n_non_finite },
+        }
     }
 }
 
@@ -1540,6 +1581,115 @@ mod tests {
         assert_eq!(unmatched, report.affected);
         assert!(out.accuracy.is_finite());
         assert!(out.accuracy <= 1.0 - report.affected as f64 / 10.0 + 1e-12);
+    }
+
+    #[test]
+    fn an_edit_after_a_cached_count_is_still_seen() {
+        // A clean run caches the anonymous matrix's count as 0. One NaN then
+        // written through `as_matrix_mut`, in a row outside the top-t
+        // selection, must still be rejected with its count under `Reject`.
+        // Under `Mask` and `Impute` such a cell cannot change the answer, so
+        // the edited value must answer exactly like a never-counted copy.
+        let c = cohort();
+        let known = c.group_matrix(Task::Rest, Session::One).unwrap();
+        let anon = c.group_matrix(Task::Rest, Session::Two).unwrap();
+        for degraded in [
+            DegradedInput::Reject,
+            DegradedInput::Mask,
+            DegradedInput::Impute,
+        ] {
+            let config = AttackConfig {
+                degraded,
+                ..Default::default()
+            };
+            let mut plan = AttackPlan::prepare(known.clone(), config.clone()).unwrap();
+            let mut edited = anon.clone();
+            let clean = plan.run_against(&edited).unwrap();
+            assert_eq!(edited.n_non_finite(), 0);
+            let row = (0..edited.n_features())
+                .find(|r| !clean.selected_features.contains(r))
+                .unwrap();
+            edited.as_matrix_mut()[(row, 1)] = f64::NAN;
+            let out = plan.run_against(&edited);
+            if degraded == DegradedInput::Reject {
+                assert!(
+                    matches!(
+                        out,
+                        Err(CoreError::NonFiniteInput {
+                            side: "anon",
+                            n_non_finite: 1
+                        })
+                    ),
+                    "{out:?}"
+                );
+                continue;
+            }
+            let out = out.unwrap();
+            let copy = GroupMatrix::from_matrix(
+                edited.as_matrix().clone(),
+                edited.subject_ids().to_vec(),
+                edited.n_regions(),
+            )
+            .unwrap();
+            let want = AttackPlan::prepare(known.clone(), config)
+                .unwrap()
+                .run_against(&copy)
+                .unwrap();
+            assert_eq!(out.predicted, want.predicted, "{degraded}");
+            assert_eq!(out.selected_features, want.selected_features, "{degraded}");
+            for (x, y) in out
+                .similarity
+                .as_slice()
+                .iter()
+                .zip(want.similarity.as_slice())
+            {
+                assert_eq!(x.to_bits(), y.to_bits(), "{degraded}");
+            }
+        }
+    }
+
+    #[test]
+    fn correlate_batch_refuses_bad_batches_typed() {
+        let c = cohort();
+        let known = c.group_matrix(Task::Rest, Session::One).unwrap();
+        let anon = c.group_matrix(Task::Rest, Session::Two).unwrap();
+        let n = known.n_features();
+        let mut plan = AttackPlan::prepare(known, AttackConfig::default()).unwrap();
+        assert!(matches!(
+            plan.correlate_batch(&[]),
+            Err(CoreError::InvalidParameter {
+                name: "queries",
+                ..
+            })
+        ));
+        let good = anon.subject_features(0);
+        let short = &good[..n - 1];
+        assert!(matches!(
+            plan.correlate_batch(&[good.as_slice(), short]),
+            Err(CoreError::IncompatibleGroups { known, anon }) if known == n && anon == n - 1
+        ));
+        let mut nan = anon.subject_features(1);
+        nan[3] = f64::NAN;
+        nan[7] = f64::NAN;
+        let mut inf = anon.subject_features(2);
+        inf[5] = f64::INFINITY;
+        assert!(matches!(
+            plan.correlate_batch(&[good.as_slice(), nan.as_slice(), inf.as_slice()]),
+            Err(CoreError::NonFiniteInput {
+                side: "anon",
+                n_non_finite: 2
+            })
+        ));
+        // The first bad query decides the error.
+        assert!(matches!(
+            plan.correlate_batch(&[inf.as_slice(), nan.as_slice()]),
+            Err(CoreError::NonFiniteInput {
+                side: "anon",
+                n_non_finite: 1
+            })
+        ));
+        // A clean batch still answers after the refusals.
+        assert_eq!(plan.correlate_batch(&[good.as_slice()]).unwrap().cols(), 1);
     }
 
     #[test]

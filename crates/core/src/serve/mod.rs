@@ -48,7 +48,7 @@ mod queue;
 
 pub use queue::{BoundedQueue, QueueError};
 
-use crate::attack::{AttackPlan, DegradedInput, MatchRule};
+use crate::attack::{AttackPlan, CleanQuery, DegradedInput, MatchRule, QueryCheck};
 use crate::error::CoreError;
 use crate::matching::{match_scores, Decision, MatchScore};
 use crate::Result;
@@ -743,38 +743,42 @@ impl Worker {
     }
 }
 
-/// Validation shared by the batch and solo paths: the typed failure for a
-/// query that must not reach the GEMM, or `None` for a processable one.
-/// Degraded-but-tolerated queries (non-finite under `Mask`/`Impute`) pass
-/// as `None` and are routed to the solo policy path by the caller.
-fn prevalidate(
-    query: &Query,
+/// Where one validation pass sends a query.
+enum Admission<'a> {
+    /// Full length and finite: joins the batched GEMM.
+    Clean(CleanQuery<'a>),
+    /// Non-finite under `Mask`/`Impute`: answered alone on the policy path.
+    Degraded,
+    /// Must not reach a kernel.
+    Refused(QueryError),
+}
+
+/// Validation shared by the batch and solo paths, one pass per query: the
+/// chaos hook, the deadline, then [`CleanQuery::check`]'s length and
+/// non-finite count, which decide the query's [`Admission`].
+fn prevalidate<'a>(
+    query: &'a Query,
     want: usize,
     policy: DegradedInput,
     now: Instant,
-) -> Option<QueryError> {
+) -> Admission<'a> {
     if query.injected == Some(ServiceFaultKind::WorkerPanic) {
         // The chaos hook: a poison query takes down its worker mid-batch.
         panic!("chaos: injected worker panic (query {})", query.id);
     }
     if query.deadline.is_some_and(|d| d < now) {
-        return Some(QueryError::DeadlineExceeded);
+        return Admission::Refused(QueryError::DeadlineExceeded);
     }
-    if query.values.len() != want {
-        return Some(QueryError::WrongDimension {
-            got: query.values.len(),
-            want,
-        });
+    match CleanQuery::check(&query.values, want) {
+        QueryCheck::Clean(clean) => Admission::Clean(clean),
+        QueryCheck::WrongLength { got } => {
+            Admission::Refused(QueryError::WrongDimension { got, want })
+        }
+        QueryCheck::NonFinite { n_non_finite } if policy == DegradedInput::Reject => {
+            Admission::Refused(QueryError::NonFinite { n_non_finite })
+        }
+        QueryCheck::NonFinite { .. } => Admission::Degraded,
     }
-    let n_non_finite = query.values.iter().filter(|x| !x.is_finite()).count();
-    if n_non_finite > 0 && policy == DegradedInput::Reject {
-        return Some(QueryError::NonFinite { n_non_finite });
-    }
-    None
-}
-
-fn is_clean(query: &Query) -> bool {
-    query.values.iter().all(|x| x.is_finite())
 }
 
 /// Answers a whole batch: validation and policy per query, then one fused
@@ -786,26 +790,24 @@ fn process_batch(plan: &mut AttackPlan, batch: &[Job]) -> Vec<QueryResult> {
     let policy = plan.config().degraded;
     let mut results: Vec<Option<QueryResult>> = (0..batch.len()).map(|_| None).collect();
     let mut clean: Vec<usize> = Vec::with_capacity(batch.len());
+    let mut queries: Vec<CleanQuery<'_>> = Vec::with_capacity(batch.len());
     for (i, job) in batch.iter().enumerate() {
         let q = &job.query;
-        if let Some(err) = prevalidate(q, want, policy, now) {
-            results[i] = Some(Err(err));
-        } else if is_clean(q) {
-            clean.push(i);
-        } else {
-            // Non-finite under Mask/Impute: the policy path is per-query by
-            // construction (masked support depends on the query's own
-            // missingness), identical to the one-shot degraded pipeline.
-            results[i] = Some(solo_degraded(plan, q));
+        match prevalidate(q, want, policy, now) {
+            Admission::Clean(c) => {
+                clean.push(i);
+                queries.push(c);
+            }
+            // The policy path is per-query by construction (masked support
+            // depends on the query's own missingness), identical to the
+            // one-shot degraded pipeline.
+            Admission::Degraded => results[i] = Some(solo_degraded(plan, q)),
+            Admission::Refused(err) => results[i] = Some(Err(err)),
         }
     }
     if !clean.is_empty() {
-        let refs: Vec<&[f64]> = clean
-            .iter()
-            .map(|&i| batch[i].query.values.as_slice())
-            .collect();
         match plan
-            .correlate_batch(&refs)
+            .correlate_clean(&queries)
             .and_then(|sim| match_scores(&sim))
         {
             Ok(scores) => {
@@ -836,14 +838,13 @@ fn process_one(plan: &mut AttackPlan, query: &Query) -> QueryResult {
     let now = Instant::now();
     let want = plan.known().n_features();
     let policy = plan.config().degraded;
-    if let Some(err) = prevalidate(query, want, policy, now) {
-        return Err(err);
-    }
-    if !is_clean(query) {
-        return solo_degraded(plan, query);
-    }
+    let clean = match prevalidate(query, want, policy, now) {
+        Admission::Clean(c) => c,
+        Admission::Degraded => return solo_degraded(plan, query),
+        Admission::Refused(err) => return Err(err),
+    };
     match plan
-        .correlate_batch(&[query.values.as_slice()])
+        .correlate_clean(&[clean])
         .and_then(|sim| match_scores(&sim))
     {
         Ok(scores) => Ok(response_from_score(plan, query, scores[0])),

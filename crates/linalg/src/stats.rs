@@ -459,11 +459,48 @@ pub fn cross_correlation_batched_into(
     Ok(())
 }
 
-/// The query-correlation body shared by [`cross_correlation_fused_into`]
-/// and [`cross_correlation_batched_into`]: z-scores each raw query row `j`
-/// of `bz` (`Q × t`, `t == az.cols() > 0`) in place with the sequential
-/// [`zscore_in_place`] kernel and writes its correlations against every
-/// pre-z-scored row of `az` into column `j` of `out` (`az.rows() × Q`).
+/// Query-row kernel for callers that fill the raw query rows themselves:
+/// z-scores each row `j` of `bz` (`Q × t`) in place and writes its
+/// correlations against every pre-z-scored gallery row of `az` into column
+/// `j` of `out` (`az.rows() × Q`).
+///
+/// This is the body [`cross_correlation_fused_into`] and
+/// [`cross_correlation_batched_into`] run after filling `bz` (by transpose
+/// and by row copy), so a caller that gathers its selected query features
+/// straight into `bz` gets the same bits with no intermediate copy.
+///
+/// Errors on an empty gallery, a `bz` with no rows, or rows whose length
+/// differs from `az.cols()`.
+pub fn cross_correlation_rows_into(az: &Matrix, bz: &mut Matrix, out: &mut Matrix) -> Result<()> {
+    let _span = neurodeanon_obs::span("stats.xcorr_rows");
+    if az.is_empty() {
+        return Err(LinalgError::EmptyMatrix {
+            op: "cross_correlation_rows",
+        });
+    }
+    if bz.rows() == 0 {
+        return Err(LinalgError::InvalidParameter {
+            name: "queries",
+            reason: "batch must contain at least one query",
+        });
+    }
+    if bz.cols() != az.cols() {
+        return Err(LinalgError::DimensionMismatch {
+            op: "cross_correlation_rows",
+            lhs: az.shape(),
+            rhs: bz.shape(),
+        });
+    }
+    correlate_query_rows(az, bz, out);
+    Ok(())
+}
+
+/// The query-correlation body shared by [`cross_correlation_fused_into`],
+/// [`cross_correlation_batched_into`] and [`cross_correlation_rows_into`]:
+/// z-scores each raw query row `j` of `bz` (`Q × t`, `t == az.cols() > 0`)
+/// in place with the sequential [`zscore_in_place`] kernel and writes its
+/// correlations against every pre-z-scored row of `az` into column `j` of
+/// `out` (`az.rows() × Q`).
 fn correlate_query_rows(az: &Matrix, bz: &mut Matrix, out: &mut Matrix) {
     let n_a = az.rows();
     let t_len = az.cols();
@@ -623,6 +660,10 @@ pub fn cross_correlation_masked(a: &Matrix, b: &Matrix, min_overlap: usize) -> R
 /// `Impute` degradation policy: a missing feature observation is replaced
 /// by that feature's cohort average). Rows with no finite entry at all are
 /// imputed to `0.0`. Returns the number of cells imputed.
+///
+/// The mean is `sum / n`. When the finite entries are so large that their
+/// sum overflows, it is taken as `Σ x/n` instead, clamped to the row's
+/// finite range, so every fill is finite.
 pub fn impute_row_means(m: &mut Matrix) -> usize {
     let mut imputed = 0usize;
     for r in 0..m.rows() {
@@ -638,7 +679,13 @@ pub fn impute_row_means(m: &mut Matrix) -> usize {
         if n == row.len() {
             continue;
         }
-        let fill = if n == 0 { 0.0 } else { sum / n as f64 };
+        let fill = if n == 0 {
+            0.0
+        } else if sum.is_finite() {
+            sum / n as f64
+        } else {
+            overflow_free_mean(row, n)
+        };
         for x in row.iter_mut() {
             if !x.is_finite() {
                 *x = fill;
@@ -647,6 +694,19 @@ pub fn impute_row_means(m: &mut Matrix) -> usize {
         }
     }
     imputed
+}
+
+/// Mean of the `n > 0` finite entries of `row` whose plain sum overflowed:
+/// each term is scaled by `1/n` before it is added, and rounding is clamped
+/// back into the entries' own range.
+fn overflow_free_mean(row: &[f64], n: usize) -> f64 {
+    let (mut acc, mut lo, mut hi) = (0.0, f64::INFINITY, f64::NEG_INFINITY);
+    for &x in row.iter().filter(|x| x.is_finite()) {
+        acc += x / n as f64;
+        lo = lo.min(x);
+        hi = hi.max(x);
+    }
+    acc.clamp(lo, hi)
 }
 
 /// Normalized root-mean-squared error, in percent, as used by Table 1.
@@ -944,6 +1004,40 @@ mod tests {
     }
 
     #[test]
+    fn prefilled_rows_match_batched_and_refuse_bad_shapes_typed() {
+        let a = Matrix::from_fn(21, 5, |r, c| ((r * 7 + c * 3) % 11) as f64 - 5.0);
+        let b = Matrix::from_fn(21, 4, |r, c| ((r * 2 + c * 5) % 7) as f64 - 3.0);
+        let mut az = Matrix::zeros(0, 0);
+        zscored_cols_into(&a, &mut az);
+        let cols: Vec<Vec<f64>> = (0..b.cols()).map(|j| b.col(j)).collect();
+        let queries: Vec<&[f64]> = cols.iter().map(|c| c.as_slice()).collect();
+        let (mut bz, mut batched) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        cross_correlation_batched_into(&az, &queries, &mut bz, &mut batched).unwrap();
+        let mut rows = b.transpose();
+        let mut out = Matrix::filled(2, 2, 9.0); // dirty output
+        cross_correlation_rows_into(&az, &mut rows, &mut out).unwrap();
+        assert_eq!(out.shape(), batched.shape());
+        for (x, y) in out.as_slice().iter().zip(batched.as_slice()) {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
+        assert!(matches!(
+            cross_correlation_rows_into(&Matrix::zeros(0, 0), &mut rows, &mut out),
+            Err(LinalgError::EmptyMatrix { .. })
+        ));
+        assert!(matches!(
+            cross_correlation_rows_into(&az, &mut Matrix::zeros(0, 21), &mut out),
+            Err(LinalgError::InvalidParameter {
+                name: "queries",
+                ..
+            })
+        ));
+        assert!(matches!(
+            cross_correlation_rows_into(&az, &mut Matrix::zeros(2, 20), &mut out),
+            Err(LinalgError::DimensionMismatch { .. })
+        ));
+    }
+
+    #[test]
     fn cross_correlation_shape_mismatch() {
         let a = Matrix::zeros(5, 2);
         let b = Matrix::zeros(6, 2);
@@ -1056,6 +1150,22 @@ mod tests {
         assert!(m.row(1).iter().all(|&x| x == 0.0));
         // Idempotent on a finite matrix.
         assert_eq!(impute_row_means(&mut m), 0);
+    }
+
+    #[test]
+    fn impute_row_means_stays_finite_when_the_sum_overflows() {
+        // (row, the filled cell, its expected fill)
+        let cases: [(&[f64], usize, f64); 3] = [
+            (&[1e308, 1e308, f64::NAN], 2, 1e308),
+            (&[f64::MAX, f64::MAX, f64::MAX, f64::INFINITY], 3, f64::MAX),
+            (&[-f64::MAX, f64::MAX, f64::NAN], 2, 0.0),
+        ];
+        for (row, at, fill) in cases {
+            let mut m = Matrix::from_rows(&[row]).unwrap();
+            assert_eq!(impute_row_means(&mut m), 1);
+            assert!(m.is_finite(), "{row:?} -> {m:?}");
+            assert_eq!(m[(0, at)], fill, "{row:?}");
+        }
     }
 
     #[test]

@@ -260,3 +260,33 @@ fn nrmse_scale_behaviour() {
         tk_assert!((e - 100.0 * noise.abs() / range).abs() < 1e-6);
     });
 }
+
+#[test]
+fn impute_row_means_matches_plain_mean_bitwise() {
+    // Ordinary rows (sums that cannot overflow) fill every missing cell with
+    // exactly `sum / n` of the row's finite entries, summed left to right.
+    let gapped = from_fn(|rng| {
+        let (rows, cols) = (1 + rng.below(6), 1 + rng.below(9));
+        Matrix::from_fn(rows, cols, |_, _| match rng.below(5) {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            _ => rng.uniform_range(-1e6, 1e6),
+        })
+    });
+    forall!(cfg(), (m in gapped) => {
+        let mut filled = m.clone();
+        stats::impute_row_means(&mut filled);
+        for r in 0..m.rows() {
+            let finite: Vec<f64> = m.row(r).iter().copied().filter(|x| x.is_finite()).collect();
+            let mut sum = 0.0;
+            for &x in &finite {
+                sum += x;
+            }
+            let want = if finite.is_empty() { 0.0 } else { sum / finite.len() as f64 };
+            for (c, &x) in m.row(r).iter().enumerate() {
+                let expect = if x.is_finite() { x } else { want };
+                tk_assert_eq!(filled[(r, c)].to_bits(), expect.to_bits(), "cell ({r}, {c})");
+            }
+        }
+    });
+}

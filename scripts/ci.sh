@@ -22,6 +22,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 
+# The repository benchmark (perfbench/, its own cargo workspace) calls the
+# attack, serve and kernel APIs directly; build it and run its tests here so
+# a signature change fails CI, not only the benchmark run. `.bench_build` is
+# the target directory perfbench/run.py uses.
+echo "==> perfbench: cargo test --release (CARGO_TARGET_DIR=.bench_build)"
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # The parallel kernels promise bit-identical results at any thread count
 # (linalg::par determinism contract), so the whole suite must pass both
 # single-threaded and at the default thread count.
