@@ -7,22 +7,23 @@
 //! ```
 //!
 //! Experiments: `fig1 fig2 fig5 fig6 table1 fig7 fig8 fig9 table2
-//! fig4-ablation ablations all`. See DESIGN.md §3 for the experiment ↔
-//! paper-artifact index.
+//! fig4-ablation localization block-timing defense robustness openworld
+//! ablations all`. See DESIGN.md §3 for the experiment ↔ paper-artifact
+//! index.
 
 use neurodeanon_bench::report::{pct, pm, Report};
 use neurodeanon_bench::Scale;
-use neurodeanon_core::attack::AttackConfig;
+use neurodeanon_core::attack::{AttackConfig, DegradedInput};
 use neurodeanon_core::experiments::preprocess_ablation::PreprocessAblationConfig;
 use neurodeanon_core::experiments::{
-    ablation_atlas_granularity, ablation_feature_count, ablation_matching_rule,
+    ablation_atlas_granularity, ablation_embedding, ablation_feature_count, ablation_matching_rule,
     ablation_sampling_strategy, adhd_experiment, block_performance_experiment, cross_task_matrix,
-    defense_sweep, multi_site_sweep, performance_table, preprocess_ablation,
-    signature_localization, similarity_experiment, task_prediction_experiment,
+    defense_sweep, multi_site_sweep, openworld_sweep, performance_table, preprocess_ablation,
+    robustness_sweep, signature_localization, similarity_experiment, task_prediction_experiment,
 };
 use neurodeanon_core::performance::PerfConfig;
 use neurodeanon_core::task_id::TaskIdConfig;
-use neurodeanon_datasets::Task;
+use neurodeanon_datasets::{CorruptionKind, Task};
 use neurodeanon_testkit::{json, Value};
 use std::path::PathBuf;
 
@@ -61,7 +62,7 @@ fn main() {
                 eprintln!(
                     "usage: repro [--scale small|paper] [--out FILE] \
                      fig1|fig2|fig5|fig6|table1|fig7|fig8|fig9|table2|fig4-ablation|\
-                     localization|block-timing|defense|ablations|all"
+                     localization|block-timing|defense|robustness|openworld|ablations|all"
                 );
                 return;
             }
@@ -486,6 +487,150 @@ fn main() {
         emit(r);
     }
 
+    if want("robustness") {
+        let cohort = scale.hcp(0x0b5e55ed);
+        let severities: &[f64] = match scale {
+            Scale::Small => &[0.0, 0.25, 0.5, 1.0],
+            Scale::Paper => &[0.0, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0],
+        };
+        let mut r = Report::new(
+            "robustness",
+            "degraded-data robustness: accuracy vs corruption severity",
+        );
+        let header: String = severities.iter().map(|s| format!("{s:>9.2}")).collect();
+        let cell = |a: Option<f64>| format!("{:>9}", a.map(pct).unwrap_or_else(|| "error".into()));
+        let mut policies = Vec::new();
+        for policy in [DegradedInput::Mask, DegradedInput::Impute] {
+            let res = or_fail(
+                "robustness",
+                robustness_sweep(&cohort, severities, policy, 0xDE6),
+            );
+            r.line(format!(
+                "policy {policy}: clean baseline {}",
+                pct(res.baseline_accuracy)
+            ));
+            r.line(format!("{:>16}{header}", "severity"));
+            for &kind in CorruptionKind::ALL.iter() {
+                let curve = res.points.iter().filter(|p| p.kind == kind);
+                let row: String = curve.clone().map(|p| cell(p.accuracy)).collect();
+                r.line(format!("{:>16}{row}", kind.name()));
+                if kind == CorruptionKind::Spikes {
+                    let row: String = curve.map(|p| cell(p.recovered_accuracy)).collect();
+                    r.line(format!("{:>16}{row}", "spikes+scrub"));
+                }
+            }
+            let points: Vec<Value> = res
+                .points
+                .iter()
+                .map(|p| {
+                    json!({
+                        "kind": p.kind.name(),
+                        "severity": p.severity,
+                        "accuracy": p.accuracy.unwrap_or(f64::NAN),
+                        "mean_margin": p.mean_margin.unwrap_or(f64::NAN),
+                        "recovered_accuracy": p.recovered_accuracy.unwrap_or(f64::NAN),
+                        "error": p.error.clone().unwrap_or_default(),
+                    })
+                })
+                .collect();
+            policies.push(json!({
+                "policy": policy.name(),
+                "baseline": res.baseline_accuracy,
+                "points": points,
+            }));
+        }
+        r.data(json!({ "severities": severities, "policies": policies }));
+        emit(r);
+    }
+
+    if want("openworld") {
+        let cohort = scale.hcp(0x09e2_11d0);
+        let (rates, thresholds): (&[f64], &[f64]) = match scale {
+            Scale::Small => (&[0.25, 0.5, 1.0], &[0.0, 0.02, 0.05, 0.1, 0.5]),
+            Scale::Paper => (
+                &[0.1, 0.25, 0.5, 0.75, 0.9, 1.0],
+                &[0.0, 0.01, 0.02, 0.05, 0.1, 0.2, 0.35, 0.5, 1.0],
+            ),
+        };
+        let res = or_fail(
+            "openworld",
+            openworld_sweep(&cohort, rates, thresholds, 0x5eed),
+        );
+        let mut r = Report::new(
+            "openworld",
+            "open-world identification: enrollment rate x rejection margin",
+        );
+        r.line(format!(
+            "closed-world baseline {}",
+            pct(res.baseline_accuracy)
+        ));
+        r.line(format!(
+            "{:>6} {:>8} {:>10} {:>8} {:>8}",
+            "rate", "gallery", "impostors", "rank-1", "rank-5"
+        ));
+        for o in &res.results {
+            r.line(format!(
+                "{:>6.2} {:>8} {:>10} {:>8} {:>8}",
+                o.enroll_rate,
+                o.n_enrolled,
+                o.n_impostors,
+                pct(o.rank1_accuracy),
+                // A gallery under 5 subjects reads its last rank.
+                pct(o.cmc[o.cmc.len().min(5) - 1])
+            ));
+        }
+        r.line("TPIR / FPIR per margin threshold:");
+        let header: String = rates
+            .iter()
+            .map(|q| format!("{:>16}", format!("rate {q:.2}")))
+            .collect();
+        r.line(format!("{:>10}{header}", "threshold"));
+        for (i, t) in thresholds.iter().enumerate() {
+            let row: String = res
+                .results
+                .iter()
+                .map(|o| {
+                    format!(
+                        "{:>16}",
+                        format!("{:.3} / {:.3}", o.roc[i].tpir, o.roc[i].fpir)
+                    )
+                })
+                .collect();
+            r.line(format!("{t:>10.2}{row}"));
+        }
+        let results: Vec<Value> = res
+            .results
+            .iter()
+            .map(|o| {
+                let roc: Vec<Value> = o
+                    .roc
+                    .iter()
+                    .map(|p| {
+                        json!({
+                            "threshold": p.threshold,
+                            "tpir": p.tpir,
+                            "fpir": p.fpir,
+                            "fnir": p.fnir,
+                        })
+                    })
+                    .collect();
+                json!({
+                    "enroll_rate": o.enroll_rate,
+                    "n_enrolled": o.n_enrolled,
+                    "n_impostors": o.n_impostors,
+                    "rank1": o.rank1_accuracy,
+                    "cmc": o.cmc.clone(),
+                    "roc": roc,
+                })
+            })
+            .collect();
+        r.data(json!({
+            "baseline": res.baseline_accuracy,
+            "results": results,
+        }));
+        emit(r);
+    }
+
     if want("ablations") {
         let cohort = scale.hcp(0x4c55);
         let mut r = Report::new("ablations", "design-choice ablations (DESIGN.md §4)");
@@ -530,11 +675,17 @@ fn main() {
         for (n, acc) in &gran {
             r.line(format!("  {:>5} regions {}", n, pct(*acc)));
         }
+        let embedding = or_fail("ablations (embedding)", ablation_embedding(&cohort));
+        r.line("task-clustering embedding (1-NN label transfer):");
+        for (method, acc) in &embedding {
+            r.line(format!("  {:>24} {}", method, pct(*acc)));
+        }
         r.data(json!({
             "strategies": strat_data,
             "feature_sweep": sweep,
             "matching": rules,
             "granularity": gran,
+            "embedding": embedding,
         }));
         emit(r);
     }

@@ -92,6 +92,52 @@ fn headline(id: &str, data: &Value) -> String {
                 .map(|p| pct(&p["targeted"]))
                 .unwrap_or_else(|| "—".into()),
         ),
+        "robustness" => {
+            let policies: Vec<String> = data["policies"]
+                .as_array()
+                .map(|arr| {
+                    arr.iter()
+                        .map(|p| {
+                            let worst = p["points"]
+                                .as_array()
+                                .into_iter()
+                                .flatten()
+                                .filter_map(|pt| pt["accuracy"].as_f64())
+                                .reduce(f64::min)
+                                .map_or(Value::Null, Value::Number);
+                            format!(
+                                "{} baseline {}, worst {}",
+                                p["policy"].as_str().unwrap_or("?"),
+                                pct(&p["baseline"]),
+                                pct(&worst),
+                            )
+                        })
+                        .collect()
+                })
+                .unwrap_or_default();
+            policies.join("; ")
+        }
+        "openworld" => {
+            let rates: Vec<String> = data["results"]
+                .as_array()
+                .map(|arr| {
+                    arr.iter()
+                        .map(|r| {
+                            format!(
+                                "{:.2} → {}",
+                                r["enroll_rate"].as_f64().unwrap_or(f64::NAN),
+                                pct(&r["rank1"])
+                            )
+                        })
+                        .collect()
+                })
+                .unwrap_or_default();
+            format!(
+                "baseline {}, rank-1 by enroll rate: [{}]",
+                pct(&data["baseline"]),
+                rates.join(", ")
+            )
+        }
         "block-timing" => format!(
             "timing-aware [{:.1}%, {:.1}%] vs blind [{:.1}%, {:.1}%]",
             data["timing_aware"][0][0].as_f64().unwrap_or(f64::NAN),
@@ -100,6 +146,17 @@ fn headline(id: &str, data: &Value) -> String {
             data["timing_blind"][1][0].as_f64().unwrap_or(f64::NAN),
         ),
         _ => "(see JSON payload)".to_string(),
+    }
+}
+
+/// Fits a title into the 44-column title field: titles longer than 42
+/// characters keep their first 41 and gain an ellipsis. Counts characters,
+/// not bytes, so a multi-byte title is never cut inside a character.
+fn short_title(title: &str) -> String {
+    if title.chars().count() > 42 {
+        format!("{}…", title.chars().take(41).collect::<String>())
+    } else {
+        title.to_string()
     }
 }
 
@@ -135,15 +192,43 @@ fn main() {
     }
     println!("{:<14} {:<44} headline", "experiment", "title");
     for (id, v) in &latest {
-        let title = v["title"].as_str().unwrap_or("");
-        let title = if title.len() > 42 {
-            format!(
-                "{}…",
-                &title[..title.char_indices().nth(41).map(|(i, _)| i).unwrap_or(41)]
-            )
-        } else {
-            title.to_string()
-        };
+        let title = short_title(v["title"].as_str().unwrap_or(""));
         println!("{:<14} {:<44} {}", id, title, headline(id, &v["data"]));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn short_title_counts_characters_not_bytes() {
+        // 30 two-byte characters: 60 bytes, but short enough to keep whole.
+        let narrow = "×".repeat(30);
+        assert_eq!(short_title(&narrow), narrow);
+        let long = "×".repeat(50);
+        assert_eq!(short_title(&long), format!("{}…", "×".repeat(41)));
+        assert_eq!(short_title(&"a".repeat(42)), "a".repeat(42));
+        assert_eq!(short_title(&"a".repeat(43)), format!("{}…", "a".repeat(41)));
+    }
+
+    #[test]
+    fn robustness_and_openworld_have_headlines() {
+        let robustness = json::parse(
+            r#"{"policies":[{"policy":"mask","baseline":1.0,"points":[
+                {"accuracy":0.5},{"accuracy":null},{"accuracy":0.75}]}]}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            headline("robustness", &robustness),
+            "mask baseline 100.0%, worst 50.0%"
+        );
+        let openworld =
+            json::parse(r#"{"baseline":0.5,"results":[{"enroll_rate":0.25,"rank1":1.0}]}"#)
+                .unwrap();
+        assert_eq!(
+            headline("openworld", &openworld),
+            "baseline 50.0%, rank-1 by enroll rate: [0.25 → 100.0%]"
+        );
     }
 }

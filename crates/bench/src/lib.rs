@@ -5,7 +5,7 @@
 //! Reproduction harness for the paper's evaluation: the [`scale`] presets,
 //! small formatting/reporting helpers shared by the `repro` binary (which
 //! regenerates every table and figure as text + JSON), and the in-repo
-//! [`timing`] harness used by the bench targets.
+//! [`timing`] harness used by the `kernels` bench and the `deanon` CLI.
 
 pub mod report;
 pub mod scale;
@@ -23,10 +23,4 @@ pub use timing::TimingError;
 pub fn fail(msg: &str) -> ! {
     eprintln!("bench: {msg}");
     std::process::exit(2);
-}
-
-/// Unwraps a harness-path result, aborting via [`fail`] with context plus
-/// the rendered typed error.
-pub fn or_fail<T, E: std::fmt::Display>(what: &str, result: Result<T, E>) -> T {
-    result.unwrap_or_else(|e| fail(&format!("{what}: {e}")))
 }

@@ -122,7 +122,7 @@ impl Bench {
 impl Sample {
     /// Builds the summary statistics from raw iteration times (any order;
     /// sorted internally). The entry point for callers that collected their
-    /// own latencies — e.g. the serve bench's per-query response times —
+    /// own latencies — e.g. `deanon serve`'s per-query response times —
     /// rather than timing through [`Bench::run`]. Typed
     /// [`TimingError::EmptySample`] on an empty input.
     pub fn from_times(label: &str, mut times: Vec<Duration>) -> Result<Sample, TimingError> {

@@ -106,6 +106,19 @@ fn one_factorization_serves_sweep_clones_workers_and_respawns() {
     let _serial = serial();
     let (known, anon) = groups(13);
     let svd = neurodeanon_obs::counter("svd.thin_calls");
+    // A one-shot attack prepares, runs and drops a plan: one factorization
+    // per call, whatever the feature count.
+    for t in [10usize, 100] {
+        let before = svd.get();
+        DeanonAttack::new(AttackConfig {
+            n_features: t,
+            ..AttackConfig::default()
+        })
+        .unwrap()
+        .run(&known, &anon)
+        .unwrap();
+        assert_eq!(svd.get() - before, 1, "DeanonAttack::run at t = {t}");
+    }
     let svd0 = svd.get();
     let mut plan = AttackPlan::prepare(known, AttackConfig::default()).unwrap();
     for t in [10usize, 50, 100, 200] {

@@ -1,12 +1,15 @@
 //! Ablation studies for the design choices DESIGN.md §4 calls out:
-//! sampling strategy, retained-feature count, matching rule, and atlas
-//! granularity.
+//! sampling strategy, retained-feature count, matching rule, atlas
+//! granularity, and the t-SNE vs PCA embedding for task clustering.
 
 use crate::attack::{match_with_features, AttackConfig, AttackPlan, MatchRule};
 use crate::Result;
-use neurodeanon_connectome::GroupMatrix;
 use neurodeanon_datasets::{HcpCohort, HcpCohortConfig, Session, Task};
-use neurodeanon_linalg::Rng64;
+use neurodeanon_embedding::pca;
+use neurodeanon_embedding::tsne::{tsne, TsneConfig};
+use neurodeanon_linalg::{Matrix, Rng64};
+use neurodeanon_ml::metrics::accuracy;
+use neurodeanon_ml::KnnClassifier;
 use neurodeanon_sampling::{principal_features, row_sample, SamplingDistribution};
 
 /// Accuracy of the attack when features are chosen by the given strategy.
@@ -124,17 +127,51 @@ pub fn ablation_atlas_granularity(
     Ok(out)
 }
 
-/// GroupMatrix accessor reused by the embedding ablation in the bench
-/// crate: rest + a compact task set as labeled point clouds.
-pub fn embedding_ablation_groups(cohort: &HcpCohort) -> Result<Vec<GroupMatrix>> {
-    [Task::Rest, Task::Motor, Task::Language, Task::Emotion]
+/// t-SNE vs PCA-2D for task clustering: stacks rest and three tasks
+/// (session one) condition-major, embeds the points to 2-D with each
+/// method, transfers condition labels by 1-NN from the first half of the
+/// subjects to the second, and returns `("tsne-2d", accuracy)` then
+/// `("pca-2d", accuracy)` — the paper's implicit case for a non-linear
+/// reduction.
+pub fn ablation_embedding(cohort: &HcpCohort) -> Result<Vec<(String, f64)>> {
+    let groups = [Task::Rest, Task::Motor, Task::Language, Task::Emotion]
         .iter()
-        .map(|&t| {
-            cohort
-                .group_matrix(t, Session::One)
-                .map_err(crate::CoreError::from)
-        })
-        .collect()
+        .map(|&t| cohort.group_matrix(t, Session::One))
+        .collect::<std::result::Result<Vec<_>, _>>()?;
+    let n_subjects = groups[0].n_subjects();
+    let n_points = groups.len() * n_subjects;
+    let mut points = Matrix::zeros(n_points, groups[0].n_features());
+    let mut labels = Vec::with_capacity(n_points);
+    for (cond, group) in groups.iter().enumerate() {
+        let p = group.to_points();
+        for s in 0..n_subjects {
+            points.set_row(cond * n_subjects + s, p.row(s))?;
+            labels.push(cond);
+        }
+    }
+    // Labeled = every condition of the first half of the subjects.
+    let (labeled, unlabeled): (Vec<usize>, Vec<usize>) =
+        (0..n_points).partition(|p| p % n_subjects < n_subjects / 2);
+    let label_transfer = |embedding: &Matrix| -> Result<f64> {
+        let train_y: Vec<usize> = labeled.iter().map(|&p| labels[p]).collect();
+        let truth: Vec<usize> = unlabeled.iter().map(|&p| labels[p]).collect();
+        let mut knn = KnnClassifier::new(1)?;
+        knn.fit(&embedding.select_rows(&labeled)?, &train_y)?;
+        let predicted = knn.predict(&embedding.select_rows(&unlabeled)?)?;
+        Ok(accuracy(&predicted, &truth)?)
+    };
+    let tsne_cfg = TsneConfig {
+        perplexity: 10.0,
+        n_iter: 250,
+        ..TsneConfig::default()
+    };
+    Ok(vec![
+        (
+            "tsne-2d".to_string(),
+            label_transfer(&tsne(&points, &tsne_cfg)?.embedding)?,
+        ),
+        ("pca-2d".to_string(), label_transfer(&pca(&points, 2)?)?),
+    ])
 }
 
 #[cfg(test)]
@@ -171,6 +208,16 @@ mod tests {
         let argmax = rows[0].1;
         let hungarian = rows[1].1;
         assert!(hungarian + 1e-9 >= argmax * 0.9, "{rows:?}");
+    }
+
+    #[test]
+    fn embedding_ablation_reports_both_accuracies() {
+        let rows = ablation_embedding(&cohort()).unwrap();
+        let labels: Vec<&str> = rows.iter().map(|(l, _)| l.as_str()).collect();
+        assert_eq!(labels, ["tsne-2d", "pca-2d"]);
+        for (label, acc) in &rows {
+            assert!((0.0..=1.0).contains(acc), "{label}: accuracy {acc}");
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! Every driver takes a scale configuration (cohort size, repetition count)
 //! so the same code runs at paper scale from the `repro` binary and at
-//! reduced scale from tests and Criterion benches.
+//! reduced scale from tests.
 
 pub mod ablations;
 pub mod adhd;
@@ -20,7 +20,7 @@ pub mod similarity;
 pub mod task_prediction;
 
 pub use ablations::{
-    ablation_atlas_granularity, ablation_feature_count, ablation_matching_rule,
+    ablation_atlas_granularity, ablation_embedding, ablation_feature_count, ablation_matching_rule,
     ablation_sampling_strategy,
 };
 pub use adhd::{adhd_experiment, AdhdExperimentResult};

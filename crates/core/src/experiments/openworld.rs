@@ -327,6 +327,11 @@ mod tests {
     fn sweep_covers_rates_and_collapses_at_full_enrollment() {
         let c = cohort();
         let sweep = openworld_sweep(&c, &[0.5, 1.0], &[0.0, 0.05, 0.2], 77).unwrap();
+        assert!(
+            sweep.baseline_accuracy.is_finite() && sweep.baseline_accuracy > 0.5,
+            "implausible closed-world baseline {}",
+            sweep.baseline_accuracy
+        );
         assert_eq!(sweep.results.len(), 2);
         let half = &sweep.results[0];
         assert_eq!(half.n_enrolled, 5);

@@ -126,50 +126,105 @@ pub fn robustness_sweep(
 mod tests {
     use super::*;
     use neurodeanon_datasets::HcpCohortConfig;
+    use std::sync::OnceLock;
 
-    fn sweep(policy: DegradedInput) -> RobustnessResult {
-        let cohort = HcpCohort::generate(HcpCohortConfig::small(8, 55)).unwrap();
-        robustness_sweep(&cohort, &[0.0, 0.5], policy, 11).unwrap()
+    const SEVERITIES: [f64; 4] = [0.0, 0.25, 0.5, 1.0];
+
+    /// One sweep per policy, computed once and shared by the tests below.
+    fn sweep(policy: DegradedInput) -> &'static RobustnessResult {
+        static REJECT: OnceLock<RobustnessResult> = OnceLock::new();
+        static MASK: OnceLock<RobustnessResult> = OnceLock::new();
+        static IMPUTE: OnceLock<RobustnessResult> = OnceLock::new();
+        let cell = match policy {
+            DegradedInput::Reject => &REJECT,
+            DegradedInput::Mask => &MASK,
+            DegradedInput::Impute => &IMPUTE,
+        };
+        cell.get_or_init(|| {
+            let cohort = HcpCohort::generate(HcpCohortConfig::small(8, 55)).unwrap();
+            robustness_sweep(&cohort, &SEVERITIES, policy, 11).unwrap()
+        })
     }
 
     #[test]
     fn severity_zero_matches_clean_baseline() {
-        let res = sweep(DegradedInput::Mask);
-        assert!(res.baseline_accuracy >= 0.7, "{}", res.baseline_accuracy);
-        for p in res.points.iter().filter(|p| p.severity == 0.0) {
-            // Identity corruption must reproduce the clean result exactly.
-            assert_eq!(
-                p.accuracy.unwrap().to_bits(),
-                res.baseline_accuracy.to_bits(),
-                "{}: severity-0 diverged",
-                p.kind
-            );
-            assert!(p.error.is_none());
+        for policy in [DegradedInput::Mask, DegradedInput::Impute] {
+            let res = sweep(policy);
+            assert!(res.baseline_accuracy >= 0.7, "{}", res.baseline_accuracy);
+            for p in res.points.iter().filter(|p| p.severity == 0.0) {
+                // Identity corruption must reproduce the clean result exactly.
+                assert_eq!(
+                    p.accuracy.unwrap().to_bits(),
+                    res.baseline_accuracy.to_bits(),
+                    "{policy}/{}: severity-0 diverged",
+                    p.kind
+                );
+                assert!(p.error.is_none());
+            }
         }
     }
 
     #[test]
     fn mask_policy_reports_no_nan_and_covers_grid() {
-        let res = sweep(DegradedInput::Mask);
-        assert_eq!(res.points.len(), CorruptionKind::ALL.len() * 2);
-        for p in &res.points {
-            if let Some(a) = p.accuracy {
-                assert!(a.is_finite(), "{}@{}: NaN accuracy", p.kind, p.severity);
-                assert!((0.0..=1.0).contains(&a));
+        for policy in [DegradedInput::Mask, DegradedInput::Impute] {
+            let res = sweep(policy);
+            assert_eq!(
+                res.points.len(),
+                CorruptionKind::ALL.len() * SEVERITIES.len()
+            );
+            for p in &res.points {
+                if let Some(a) = p.accuracy {
+                    assert!(
+                        a.is_finite(),
+                        "{policy}/{}@{}: NaN accuracy",
+                        p.kind,
+                        p.severity
+                    );
+                    assert!((0.0..=1.0).contains(&a));
+                }
+                if let Some(m) = p.mean_margin {
+                    assert!(
+                        m.is_finite(),
+                        "{policy}/{}@{}: NaN margin",
+                        p.kind,
+                        p.severity
+                    );
+                }
             }
-            if let Some(m) = p.mean_margin {
-                assert!(m.is_finite());
+            // Spikes rows carry the recovery column; others do not.
+            for p in &res.points {
+                assert_eq!(
+                    p.recovered_accuracy.is_some(),
+                    p.kind == CorruptionKind::Spikes && p.accuracy.is_some(),
+                    "{policy}/{}@{}",
+                    p.kind,
+                    p.severity
+                );
             }
         }
-        // Spikes rows carry the recovery column; others do not.
-        for p in &res.points {
-            assert_eq!(
-                p.recovered_accuracy.is_some(),
-                p.kind == CorruptionKind::Spikes && p.accuracy.is_some(),
-                "{}@{}",
-                p.kind,
-                p.severity
-            );
+    }
+
+    #[test]
+    fn accuracy_never_rises_with_severity_by_more_than_one_flip() {
+        // 0.15 absorbs one of the 8 subjects flipping to a correct match.
+        for policy in [DegradedInput::Mask, DegradedInput::Impute] {
+            let res = sweep(policy);
+            for &kind in CorruptionKind::ALL.iter() {
+                let curve: Vec<(f64, f64)> = res
+                    .points
+                    .iter()
+                    .filter(|p| p.kind == kind)
+                    .filter_map(|p| p.accuracy.map(|a| (p.severity, a)))
+                    .collect();
+                for w in curve.windows(2) {
+                    assert!(
+                        w[1].1 <= w[0].1 + 0.15,
+                        "{policy}/{kind}: accuracy rose with severity: {:?} -> {:?}",
+                        w[0],
+                        w[1]
+                    );
+                }
+            }
         }
     }
 

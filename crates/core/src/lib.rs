@@ -24,7 +24,7 @@
 //! * [`defense`] — the paper's §4 countermeasure: localize the signature
 //!   edges with the attacker's own selection and add targeted noise.
 //! * [`experiments`] — one driver per paper table/figure (DESIGN.md §3),
-//!   consumed by the `repro` binary and the Criterion benches.
+//!   consumed by the `repro` binary.
 //! * [`serve`] — attack-as-a-service (DESIGN.md §1.7): a long-lived batched
 //!   match server over a memoized [`attack::AttackPlan`] with backpressure,
 //!   per-query deadlines, poison-query isolation, and deterministic worker

@@ -184,26 +184,28 @@ fn server_responses_are_packing_and_parallelism_invariant() {
     let queries: Vec<Query> = payloads(&anon)
         .into_iter()
         .cycle()
-        .take(40)
+        .take(200)
         .enumerate()
         .map(|(i, values)| Query::new(i as u64, format!("anon-{i}"), values))
         .collect();
-    let serial = ServeConfig {
-        workers: 1,
-        batch_max: 1,
+    // 200 queries overfill every queue below, so `submit` blocks for a slot;
+    // the long timeout keeps a slow host from turning that wait into an error.
+    let server = |workers, batch_max, queue_capacity| ServeConfig {
+        workers,
+        batch_max,
+        queue_capacity,
+        submit_timeout: Duration::from_secs(30),
         ..ServeConfig::default()
     };
     let plan = AttackPlan::prepare(known.clone(), cfg.clone()).unwrap();
-    let (reference, ref_report) = run_server(plan, serial, &queries);
+    let (reference, ref_report) = run_server(plan, server(1, 1, 64), &queries);
     assert!(ref_report.clean_drain(), "reference drain: {ref_report:?}");
     assert_eq!(ref_report.answered, queries.len() as u64);
-    for (workers, batch_max) in [(3usize, 4usize), (2, 16)] {
+    // The last shape is a loaded server under backpressure: four workers
+    // fold up to 16 queries a batch behind a 4-slot queue.
+    for (workers, batch_max, queue_capacity) in [(3, 4, 64), (2, 16, 64), (4, 16, 4)] {
         let plan = AttackPlan::prepare(known.clone(), cfg.clone()).unwrap();
-        let serve_cfg = ServeConfig {
-            workers,
-            batch_max,
-            ..ServeConfig::default()
-        };
+        let serve_cfg = server(workers, batch_max, queue_capacity);
         let (results, report) = run_server(plan, serve_cfg, &queries);
         assert!(
             report.clean_drain(),

@@ -7,7 +7,7 @@
 //! rate-parameterized, so the serve layer's isolation contract ("exactly
 //! the faulted queries fail, with typed errors; everything else is
 //! bit-identical to a fault-free run") can be asserted by property tests
-//! and exercised at benchmark scale.
+//! and exercised by the `deanon serve` chaos demo.
 //!
 //! Fault classes ([`ServiceFaultKind`]):
 //!
@@ -71,15 +71,6 @@ impl ServiceFaultKind {
             ServiceFaultKind::WorkerPanic => "worker_panic",
             ServiceFaultKind::StallProducer => "stall_producer",
         }
-    }
-
-    /// Whether this fault mutates the query payload itself (as opposed to
-    /// the timing or the worker processing it).
-    pub fn is_payload_fault(self) -> bool {
-        matches!(
-            self,
-            ServiceFaultKind::TruncatePayload | ServiceFaultKind::NanPayload
-        )
     }
 }
 
@@ -159,7 +150,7 @@ impl ChaosSpec {
 
 /// How long a [`ServiceFaultKind::StallProducer`] fault stalls the
 /// producer. Small and fixed: long enough to perturb batching, short
-/// enough that chaos benches stay fast.
+/// enough that chaos runs stay fast.
 pub fn stall_duration() -> std::time::Duration {
     std::time::Duration::from_millis(STALL_MS)
 }

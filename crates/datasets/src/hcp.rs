@@ -450,8 +450,8 @@ impl HcpCohort {
     }
 
     /// Ground-truth population-mode scores `z_{s,d}` of one subject — the
-    /// latent axes behind the performance phenotypes (for diagnostics and
-    /// oracle comparisons in the benches).
+    /// latent axes behind the performance phenotypes (for diagnostics, the
+    /// block-timing phenotypes and oracle comparisons in the tests).
     pub fn subject_mode_scores(&self, subject: usize) -> Result<[f64; 3]> {
         self.subject_modes
             .get(subject)

@@ -11,7 +11,7 @@
 //!   with momentum and early exaggeration, KL-divergence tracking.
 //! * [`mod@pca`] — principal component analysis via the in-workspace SVD, used
 //!   both as a t-SNE initialization option and as the linear baseline the
-//!   ablation benches compare against (DESIGN.md §4.4).
+//!   embedding ablation compares against (DESIGN.md §4.4).
 //! * [`quality`] — trustworthiness/continuity metrics that make the paper's
 //!   "maintains pairwise distance well" claim for t-SNE measurable.
 

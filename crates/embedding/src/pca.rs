@@ -1,7 +1,8 @@
 //! Principal component analysis.
 //!
-//! The paper (§3.1.2) contrasts row-sampling with PCA; the ablation benches
-//! also use PCA-to-2D as the linear baseline for the t-SNE task clusters.
+//! The paper (§3.1.2) contrasts row-sampling with PCA; the embedding
+//! ablation also uses PCA-to-2D as the linear baseline for the t-SNE task
+//! clusters.
 //! Implemented as SVD of the column-centered data matrix.
 
 use crate::error::EmbeddingError;

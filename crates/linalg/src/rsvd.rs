@@ -8,7 +8,8 @@
 //! decaying spectra — exactly the group matrices the attack builds — and
 //! the cost drops from `O(mn²)` to `O(mn(k+p))`.
 //!
-//! Regime note (measured in `benches/micro.rs`): for the paper's group
+//! Regime note (measured by the `kernels` bench's `bank_build` records, which
+//! time the exact, subspace and Jacobi bank builds): for the paper's group
 //! matrices the column count is the *subject* count (≈ 100), so the exact
 //! Gram-route SVD is already `O(mn²)` with tiny `n` and beats this code.
 //! The randomized path pays off when the column count grows — e.g.

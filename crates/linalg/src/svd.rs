@@ -25,10 +25,10 @@ use crate::Result;
 const MAX_SWEEPS: usize = 60;
 
 /// Cached handle of the `svd.thin_calls` observability counter: process-wide
-/// count of [`thin_svd`] factorizations, for benches and tests that assert
-/// how many SVDs a code path actually performed (e.g. the attack-plan sweep
-/// bench, which requires a whole feature-count ablation to cost exactly one
-/// factorization). Concurrent callers share it, so only deltas around a
+/// count of [`thin_svd`] factorizations, for tests that assert how many
+/// SVDs a code path actually performed (e.g. the gallery-sharing test,
+/// which requires a whole feature-count sweep on one plan to cost exactly
+/// one factorization). Concurrent callers share it, so only deltas around a
 /// workload nothing else runs beside are meaningful; `obs::reset()` zeroes
 /// it.
 fn thin_calls_counter() -> &'static neurodeanon_obs::Counter {

