@@ -17,17 +17,20 @@
 
 use crate::error::CoreError;
 use crate::matching::{
-    argmax_matching, argmax_matching_lenient, hungarian_matching, matching_accuracy, Decision,
+    argmax_matching, best_rows, decide, hungarian_matching, match_scores, matching_accuracy,
+    Decision, MatchScore,
 };
 use crate::Result;
 use neurodeanon_connectome::GroupMatrix;
-use neurodeanon_linalg::rsvd::RsvdConfig;
+use neurodeanon_linalg::rsvd::{randomized_svd_auto, RsvdConfig};
 use neurodeanon_linalg::stats::{
-    cross_correlation, cross_correlation_fused_into, cross_correlation_masked,
-    cross_correlation_rows_into, impute_row_means, zscored_cols_into,
+    cross_correlation, cross_correlation_masked, cross_correlation_rows_into, impute_row_means,
+    zscored_cols_into,
 };
+use neurodeanon_linalg::svd::{leverage_scores_from_svd, thin_svd};
+use neurodeanon_linalg::vector::argsort_desc;
 use neurodeanon_linalg::Matrix;
-use neurodeanon_sampling::{finite_rows, intersect_sorted, rows_with_any_finite, LeverageBank};
+use neurodeanon_sampling::{finite_rows, intersect_sorted, rows_with_any_finite, SamplingError};
 use std::sync::Arc;
 
 /// Minimum pairwise-complete observations the masked correlation requires
@@ -117,12 +120,12 @@ pub struct AttackConfig {
     /// Policy for NaN/inf cells in either input ([`DegradedInput::Reject`]
     /// by default).
     pub degraded: DegradedInput,
-    /// Open-world rejection threshold on the match margin (best minus
-    /// runner-up similarity): a predicted match whose margin falls below
-    /// this value is demoted to [`Decision::Reject`] instead of naming a
-    /// gallery subject. `None` (the default) disables rejection entirely —
-    /// the historical closed-world behavior, bit-for-bit. See DESIGN.md
-    /// §1.4 for the decision contract.
+    /// Open-world rejection threshold on the match margin (the predicted
+    /// subject's similarity minus the best other one): a predicted match
+    /// whose margin falls below this value is demoted to
+    /// [`Decision::Reject`] instead of naming a gallery subject. `None` (the
+    /// default) is a threshold of −∞: only a query with no usable candidate
+    /// rejects. See DESIGN.md §1.4 for the decision contract.
     pub reject_margin: Option<f64>,
 }
 
@@ -180,8 +183,9 @@ pub struct AttackOutcome {
     pub predicted: Vec<usize>,
     /// Thresholded open-world decision per anonymous subject. With
     /// [`AttackConfig::reject_margin`] unset, this mirrors `predicted`
-    /// (`Match(p)` everywhere, `Reject` only for the `usize::MAX`
-    /// no-prediction sentinel of the mask policy); with a threshold set,
+    /// (`Match(p)` everywhere, `Reject` only where the mask policy found no
+    /// usable candidate: the `usize::MAX` sentinel, or a Hungarian
+    /// assignment whose similarity is NaN); with a threshold set,
     /// low-margin predictions are demoted to [`Decision::Reject`].
     pub decisions: Vec<Decision>,
     /// Ground-truth known index for each anonymous subject (`usize::MAX`
@@ -212,9 +216,10 @@ impl AttackOutcome {
     }
 
     /// Per-anonymous-subject match margin: `best - second`, the gap between
-    /// the best and second-best similarity in that subject's column. Small
-    /// margins mean low-confidence matches — the quantity a cautious
-    /// attacker thresholds on and a defender tries to shrink.
+    /// the best and second-best similarity in that subject's column (the
+    /// `margin` of [`match_scores`]). Small margins mean low-confidence
+    /// matches — the quantity a cautious attacker thresholds on and a
+    /// defender tries to shrink.
     ///
     /// When a column has no finite second-best candidate the margin is
     /// `NaN`, not `+inf`: with a single known subject (or a column whose
@@ -223,27 +228,13 @@ impl AttackOutcome {
     /// confident. Callers aggregating margins should filter with
     /// [`f64::is_finite`].
     pub fn match_margins(&self) -> Vec<f64> {
-        let rows = self.similarity.rows();
-        (0..self.similarity.cols())
-            .map(|j| {
-                let mut best = f64::NEG_INFINITY;
-                let mut second = f64::NEG_INFINITY;
-                for i in 0..rows {
-                    let v = self.similarity[(i, j)];
-                    if v > best {
-                        second = best;
-                        best = v;
-                    } else if v > second {
-                        second = v;
-                    }
-                }
-                if second.is_finite() {
-                    best - second
-                } else {
-                    f64::NAN
-                }
-            })
-            .collect()
+        match match_scores(&self.similarity) {
+            Ok(scores) => scores
+                .iter()
+                .map(|s| s.map_or(f64::NAN, |ms| ms.margin))
+                .collect(),
+            Err(_) => vec![f64::NAN; self.similarity.cols()],
+        }
     }
 
     /// Number of queries the decision layer rejected as unidentifiable.
@@ -316,73 +307,18 @@ impl DeanonAttack {
     }
 }
 
-/// The full descending leverage order of `a` under `config`: the exact
-/// [`LeverageBank`] restricted to `config.rank_k`, or the seeded subspace
-/// bank of `config.randomized`, which ignores `rank_k`. The bank lives only
-/// long enough to yield the order.
+/// The full descending leverage order of `a` under `config`: one
+/// factorization — the exact thin SVD scored under `config.rank_k`, or the
+/// seeded subspace iteration of `config.randomized`, which ignores
+/// `rank_k` — then [`leverage_scores_from_svd`] and [`argsort_desc`]. The
+/// factorization lives only long enough to yield the order.
 fn leverage_order(a: &Matrix, config: &AttackConfig) -> Result<Vec<usize>> {
-    let m = a.rows();
-    Ok(match &config.randomized {
-        None => LeverageBank::new(a)?.select_indices(m, config.rank_k)?,
-        Some(cfg) => LeverageBank::new_subspace(a, cfg)?.select_indices(m, None)?,
-    })
-}
-
-/// The graceful-degradation path of the `Mask` policy: restrict feature
-/// selection to the shared valid support (fully finite known rows ∩
-/// anonymous rows with any finite entry), correlate pairwise-complete, and
-/// score unmatchable subjects as misses. Indices in the outcome are global
-/// feature indices, so selections stay comparable with the clean path.
-fn masked_attack(
-    known: &GroupMatrix,
-    anon: &GroupMatrix,
-    config: &AttackConfig,
-) -> Result<AttackOutcome> {
-    let known_valid = finite_rows(known.as_matrix());
-    let anon_valid = rows_with_any_finite(anon.as_matrix());
-    let shared = intersect_sorted(&known_valid, &anon_valid);
-    if shared.len() < MASKED_MIN_OVERLAP {
-        return Err(CoreError::InsufficientSupport {
-            known_valid: known_valid.len(),
-            anon_valid: anon_valid.len(),
-            shared: shared.len(),
-        });
-    }
-    // Leverage selection on the known matrix restricted to the support; the
-    // selected local indices map back through `shared` to global features.
-    let known_sub = known.as_matrix().select_rows(&shared)?;
-    let t = config.n_features.min(shared.len());
-    let indices: Vec<usize> = leverage_order(&known_sub, config)?[..t]
-        .iter()
-        .map(|&i| shared[i])
-        .collect();
-    let known_red = known.as_matrix().select_rows(&indices)?;
-    let anon_red = anon.as_matrix().select_rows(&indices)?;
-    let similarity = cross_correlation_masked(&known_red, &anon_red, MASKED_MIN_OVERLAP)?;
-    let predicted = match config.match_rule {
-        MatchRule::Argmax => argmax_matching_lenient(&similarity)?,
-        MatchRule::Hungarian => {
-            // The assignment needs finite costs; an unmeasurable similarity
-            // is worse than any real correlation, so pin it below −1.
-            let floored = Matrix::from_fn(similarity.rows(), similarity.cols(), |i, j| {
-                let v = similarity[(i, j)];
-                if v.is_nan() {
-                    -2.0
-                } else {
-                    v
-                }
-            });
-            hungarian_matching(&floored)?
-        }
+    let (svd, rank_k) = match &config.randomized {
+        None => (thin_svd(a), config.rank_k),
+        Some(cfg) => (randomized_svd_auto(a, cfg), None),
     };
-    score_predictions(
-        similarity,
-        indices,
-        predicted,
-        known.subject_ids(),
-        anon.subject_ids(),
-        config.reject_margin,
-    )
+    let svd = svd.map_err(|e| CoreError::Sampling(SamplingError::Linalg(e)))?;
+    Ok(argsort_desc(&leverage_scores_from_svd(&svd, rank_k)))
 }
 
 /// The [`CoreError::NonFiniteInput`] blaming `side` for the non-finite
@@ -394,131 +330,33 @@ fn non_finite_error(side: &'static str, group: &GroupMatrix) -> CoreError {
     }
 }
 
-/// Matching + ground-truth scoring of the memoized path: derives
-/// predictions from the similarity matrix under the given rule and scores
-/// them against the id-prefix ground truth.
-fn outcome_from_similarity(
-    similarity: Matrix,
-    selected_features: Vec<usize>,
-    known_ids: &[String],
-    anon_ids: &[String],
-    match_rule: MatchRule,
-    reject_margin: Option<f64>,
-) -> Result<AttackOutcome> {
-    let predicted = match match_rule {
-        MatchRule::Argmax => argmax_matching(&similarity)?,
-        MatchRule::Hungarian => hungarian_matching(&similarity)?,
-    };
-    score_predictions(
-        similarity,
-        selected_features,
-        predicted,
-        known_ids,
-        anon_ids,
-        reject_margin,
-    )
-}
-
-/// Ground-truth scoring shared by the clean and masked paths. A prediction
-/// of `usize::MAX` ("unmatchable", from the lenient matcher) scores as a
-/// miss for subjects that do have a counterpart, so degraded runs report a
-/// real accuracy instead of NaN or an abort.
-///
-/// `accuracy` is always the *closed-world* score of the raw predictions —
-/// the decision layer never changes it, so enabling `reject_margin` leaves
-/// every historical accuracy number bit-identical. Open-world rates
-/// (TPIR/FPIR) are derived from `decisions` by the callers that need them
-/// (`experiments::openworld`).
-fn score_predictions(
-    similarity: Matrix,
-    selected_features: Vec<usize>,
-    predicted: Vec<usize>,
-    known_ids: &[String],
-    anon_ids: &[String],
-    reject_margin: Option<f64>,
-) -> Result<AttackOutcome> {
-    let truth = ground_truth(known_ids, anon_ids);
-    let scored: Vec<(usize, usize)> = predicted
-        .iter()
-        .zip(&truth)
-        .filter(|&(_, &t)| t != usize::MAX)
-        .map(|(&p, &t)| (p, t))
-        .collect();
-    let accuracy = if scored.is_empty() {
-        f64::NAN
-    } else {
-        scored.iter().filter(|(p, t)| p == t).count() as f64 / scored.len() as f64
-    };
-    let decisions = decisions_from(&similarity, &predicted, reject_margin);
-    Ok(AttackOutcome {
-        similarity,
-        predicted,
-        decisions,
-        truth,
-        accuracy,
-        selected_features,
-    })
-}
-
-/// The decision layer over a prediction vector: each predicted index is
-/// accepted unless its margin over the best *other* gallery candidate falls
-/// below the threshold. For the argmax rule this is exactly
-/// [`crate::matching::decide_matching`] (best minus second-best); for the
-/// Hungarian rule the margin is measured around the *assigned* subject, so
-/// an assignment that is not even its column's argmax carries a negative
-/// margin and rejects first.
-fn decisions_from(
-    similarity: &Matrix,
-    predicted: &[usize],
-    reject_margin: Option<f64>,
-) -> Vec<Decision> {
-    let Some(threshold) = reject_margin else {
-        // Rejection disabled: only the no-prediction sentinel rejects.
-        return predicted
-            .iter()
-            .map(|&p| {
-                if p == usize::MAX {
-                    Decision::Reject
-                } else {
-                    Decision::Match(p)
-                }
-            })
-            .collect();
-    };
-    let rows = similarity.rows();
-    predicted
+/// The decision scores of an assignment: for each column `j` assigned row
+/// `p`, the [`MatchScore`] of `p` itself, its margin measured over the best
+/// *other* row, so an assignment that is not its column's argmax carries a
+/// negative margin and rejects first. `None` when the assigned similarity
+/// is NaN: there is no measured candidate to accept.
+fn assigned_scores(similarity: &Matrix, assigned: &[usize]) -> Vec<Option<MatchScore>> {
+    assigned
         .iter()
         .enumerate()
         .map(|(j, &p)| {
-            if p == usize::MAX {
-                return Decision::Reject;
-            }
             let score = similarity[(p, j)];
             if score.is_nan() {
-                return Decision::Reject;
+                return None;
             }
-            let mut runner_up = f64::NEG_INFINITY;
-            for i in 0..rows {
-                if i == p {
-                    continue;
-                }
-                let v = similarity[(i, j)];
-                if v > runner_up {
-                    runner_up = v;
-                }
-            }
-            // No finite runner-up ⇒ undefined margin ⇒ accept (NaN < t is
-            // false), mirroring `matching::decide`.
-            let margin = if runner_up.is_finite() {
-                score - runner_up
-            } else {
-                f64::NAN
-            };
-            if margin < threshold {
-                Decision::Reject
-            } else {
-                Decision::Match(p)
-            }
+            let runner_up = (0..similarity.rows())
+                .filter(|&i| i != p)
+                .map(|i| similarity[(i, j)])
+                .fold(f64::NEG_INFINITY, |r, v| if v > r { v } else { r });
+            Some(MatchScore {
+                best: p,
+                score,
+                margin: if runner_up.is_finite() {
+                    score - runner_up
+                } else {
+                    f64::NAN
+                },
+            })
         })
         .collect()
 }
@@ -536,6 +374,129 @@ struct Gallery {
     order: Option<Vec<usize>>,
 }
 
+impl Gallery {
+    /// The graceful-degradation path of the `Mask` policy: restrict feature
+    /// selection to the shared valid support (fully finite known rows ∩
+    /// anonymous rows with any finite entry), correlate pairwise-complete,
+    /// and score unmatchable subjects as misses. Indices in the outcome are
+    /// global feature indices, so selections stay comparable with the clean
+    /// path.
+    fn run_masked(
+        &self,
+        anon: &GroupMatrix,
+        t: usize,
+        match_rule: MatchRule,
+    ) -> Result<AttackOutcome> {
+        let known_valid = finite_rows(self.known.as_matrix());
+        let anon_valid = rows_with_any_finite(anon.as_matrix());
+        let shared = intersect_sorted(&known_valid, &anon_valid);
+        if shared.len() < MASKED_MIN_OVERLAP {
+            return Err(CoreError::InsufficientSupport {
+                known_valid: known_valid.len(),
+                anon_valid: anon_valid.len(),
+                shared: shared.len(),
+            });
+        }
+        // Leverage selection on the known matrix restricted to the support;
+        // the selected local indices map back through `shared` to global
+        // features.
+        let known_sub = self.known.as_matrix().select_rows(&shared)?;
+        let t = t.min(shared.len());
+        let indices: Vec<usize> = leverage_order(&known_sub, &self.config)?[..t]
+            .iter()
+            .map(|&i| shared[i])
+            .collect();
+        let known_sel = self.known.as_matrix().select_rows(&indices)?;
+        let anon_sel = anon.as_matrix().select_rows(&indices)?;
+        let similarity = cross_correlation_masked(&known_sel, &anon_sel, MASKED_MIN_OVERLAP)?;
+        self.outcome(similarity, indices, anon, match_rule, true)
+    }
+
+    /// Matching, decisions and ground-truth scoring, shared by the clean
+    /// and masked paths. Under the argmax rule one [`match_scores`] scan
+    /// yields both the predictions and the decision scores; under the
+    /// Hungarian rule `assigned_scores` scores the assignment. Every decision
+    /// is [`decide`] at `reject_margin`, or at −∞ when it is unset.
+    ///
+    /// `masked` tolerates unmeasurable similarities: an argmax column with
+    /// no finite entry predicts the `usize::MAX` sentinel (a miss) instead
+    /// of failing with [`CoreError::UnmatchableColumn`], and the assignment
+    /// ranks NaN cells below every real correlation.
+    ///
+    /// `accuracy` is always the *closed-world* score of the raw predictions
+    /// — the decision layer never changes it, so enabling `reject_margin`
+    /// leaves every historical accuracy number bit-identical. Open-world
+    /// rates (TPIR/FPIR) are derived from `decisions` by the callers that
+    /// need them (`experiments::openworld`).
+    fn outcome(
+        &self,
+        similarity: Matrix,
+        selected_features: Vec<usize>,
+        anon: &GroupMatrix,
+        match_rule: MatchRule,
+        masked: bool,
+    ) -> Result<AttackOutcome> {
+        let (predicted, scores) = match match_rule {
+            MatchRule::Argmax => {
+                let scores = match_scores(&similarity)?;
+                let predicted = if masked {
+                    scores
+                        .iter()
+                        .map(|s| s.map_or(usize::MAX, |ms| ms.best))
+                        .collect()
+                } else {
+                    best_rows(&scores)?
+                };
+                (predicted, scores)
+            }
+            MatchRule::Hungarian => {
+                let predicted = if masked {
+                    // The assignment needs finite costs; an unmeasurable
+                    // similarity is worse than any real correlation, so pin
+                    // it below −1.
+                    let floored = Matrix::from_fn(similarity.rows(), similarity.cols(), |i, j| {
+                        let v = similarity[(i, j)];
+                        if v.is_nan() {
+                            -2.0
+                        } else {
+                            v
+                        }
+                    });
+                    hungarian_matching(&floored)?
+                } else {
+                    hungarian_matching(&similarity)?
+                };
+                let scores = assigned_scores(&similarity, &predicted);
+                (predicted, scores)
+            }
+        };
+        let decisions = decide(
+            &scores,
+            self.config.reject_margin.unwrap_or(f64::NEG_INFINITY),
+        );
+        let truth = ground_truth(self.known.subject_ids(), anon.subject_ids());
+        let scored: Vec<(usize, usize)> = predicted
+            .iter()
+            .zip(&truth)
+            .filter(|&(_, &t)| t != usize::MAX)
+            .map(|(&p, &t)| (p, t))
+            .collect();
+        let accuracy = if scored.is_empty() {
+            f64::NAN
+        } else {
+            scored.iter().filter(|(p, t)| p == t).count() as f64 / scored.len() as f64
+        };
+        Ok(AttackOutcome {
+            similarity,
+            predicted,
+            decisions,
+            truth,
+            accuracy,
+            selected_features,
+        })
+    }
+}
+
 /// A prepared, memoized attack: the expensive artifacts of the *known*
 /// (de-anonymized) side are computed once and reused across every anonymous
 /// matrix and every retained-feature count of an experiment sweep.
@@ -549,16 +510,22 @@ struct Gallery {
 ///
 /// * an immutable gallery behind an [`Arc`]: the known matrix, the
 ///   configuration, and the full descending leverage order from the plan's
-///   one [`LeverageBank`] factorization (exact, or the seeded subspace bank,
-///   whose `m × n` `U` is dropped before [`AttackPlan::prepare`] returns).
-///   Clones — one per serve worker and respawn — share it;
+///   one factorization (the exact thin SVD, or the seeded subspace
+///   iteration, whose `m × n` `U` is dropped before [`AttackPlan::prepare`]
+///   returns). Clones — one per serve worker and respawn — share it;
 /// * per `t`: the selected indices and the z-scored reduced known columns
 ///   (O(`t · n_known`), copied per clone), so repeated attacks at the same
 ///   feature count skip straight to the anonymous side.
 ///
-/// Scratch matrices for the anonymous side are reused across calls, so a
-/// steady-state sweep performs no large allocations — only the returned
-/// similarity matrix (subjects × subjects, small) is freshly allocated.
+/// Every clean answer — an [`AttackPlan::run_with`] outcome and a
+/// [`AttackPlan::correlate_batch`] column alike — goes through one private
+/// step: gather each query's `t` selected features straight into the
+/// kernel's query rows, then [`cross_correlation_rows_into`]. Every
+/// prediction and decision then comes from [`match_scores`] and
+/// [`decide`] (the Hungarian rule supplies its own assignment). The query
+/// scratch is reused across calls, so a steady-state sweep performs no
+/// large allocations — only the returned similarity matrix (subjects ×
+/// subjects, small) is freshly allocated.
 ///
 /// The degraded-input policy reads each operand's cached count
 /// ([`GroupMatrix::n_non_finite`]) instead of scanning it, so a sweep that
@@ -572,9 +539,9 @@ struct Gallery {
 /// holds: each selection is a prefix of the order (on the exact path,
 /// [`neurodeanon_sampling::principal_features`] at that `t`), and the
 /// similarity is [`cross_correlation`] split in two — `zscored_cols_into`
-/// on the known side, cached per `t`, then `cross_correlation_fused_into`
-/// per anonymous matrix. `tests/properties.rs` pins both against a
-/// reference built from public linalg calls.
+/// on the known side, cached per `t`, then the query kernel per anonymous
+/// matrix. `tests/properties.rs` pins both against a reference built from
+/// public linalg calls.
 #[derive(Debug, Clone)]
 pub struct AttackPlan {
     gallery: Arc<Gallery>,
@@ -583,9 +550,8 @@ pub struct AttackPlan {
     indices: Vec<usize>,
     known_red: Matrix,
     known_z: Matrix,
-    anon_red: Matrix,
-    /// Query-row scratch of the correlation kernels: the z-scored anonymous
-    /// columns, or a serve batch's gathered query rows (`Q × t`).
+    /// Query-row scratch of the correlation kernel (`Q × t`): the gathered
+    /// anonymous columns or serve queries, z-scored in place.
     anon_z: Matrix,
 }
 
@@ -636,7 +602,6 @@ impl AttackPlan {
             indices: Vec::new(),
             known_red: Matrix::zeros(0, 0),
             known_z: Matrix::zeros(0, 0),
-            anon_red: Matrix::zeros(0, 0),
             anon_z: Matrix::zeros(0, 0),
         })
     }
@@ -694,14 +659,7 @@ impl AttackPlan {
                 DegradedInput::Reject => {
                     return Err(non_finite_error("anon", anon));
                 }
-                DegradedInput::Mask => {
-                    let cfg = AttackConfig {
-                        n_features: t,
-                        match_rule,
-                        ..g.config.clone()
-                    };
-                    return masked_attack(&g.known, anon, &cfg);
-                }
+                DegradedInput::Mask => return g.run_masked(anon, t, match_rule),
                 DegradedInput::Impute => {
                     // The known side was imputed at `prepare`; only the
                     // anonymous operand needs filling before the memoized
@@ -715,40 +673,25 @@ impl AttackPlan {
         self.run_memoized(anon, t, match_rule)
     }
 
-    /// The historical memoized path: selection cache + known-side buffers +
-    /// dense correlation kernels. Requires a leverage order and
-    /// `anon` to be fully finite.
+    /// The memoized path: selection cache + known-side buffers + the one
+    /// gather-and-correlate step. Requires a leverage order and `anon` to
+    /// be fully finite.
     fn run_memoized(
         &mut self,
         anon: &GroupMatrix,
         t: usize,
         match_rule: MatchRule,
     ) -> Result<AttackOutcome> {
+        // Refresh before opening `plan.correlate`, so a refresh is always
+        // traced as `plan.run/plan.select`.
         self.ensure_selection(t)?;
-        // Anonymous side: reduce into the reusable scratch, then one fused
-        // z-score + correlate pass (bit-identical to the split kernels, see
-        // `cross_correlation_fused_into`); `anon_z` keeps receiving the
-        // z-scored queries so the scratch-reuse shape is unchanged.
+        let a = anon.as_matrix();
         let corr_span = neurodeanon_obs::span("plan.correlate");
-        anon.as_matrix()
-            .select_rows_into(&self.indices, &mut self.anon_red)?;
-        let mut similarity = Matrix::zeros(0, 0);
-        cross_correlation_fused_into(
-            &self.known_z,
-            &self.anon_red,
-            &mut self.anon_z,
-            &mut similarity,
-        )?;
+        let similarity = self.correlate_selected(a.cols(), |j, i| a[(i, j)])?;
         drop(corr_span);
         let _match_span = neurodeanon_obs::span("plan.match");
-        outcome_from_similarity(
-            similarity,
-            self.indices.clone(),
-            self.known().subject_ids(),
-            anon.subject_ids(),
-            match_rule,
-            self.config().reject_margin,
-        )
+        self.gallery
+            .outcome(similarity, self.indices.clone(), anon, match_rule, false)
     }
 
     /// The serve layer's steady-state batch path: correlates `Q` full-length
@@ -759,10 +702,10 @@ impl AttackPlan {
     /// Bitwise contract (DESIGN.md §1.7): column `j` of the result is
     /// bit-identical to the similarity column produced by running query `j`
     /// alone through [`AttackPlan::run_with`] on the clean memoized path —
-    /// the gather below reproduces `select_rows_into` element-for-element
-    /// and [`cross_correlation_rows_into`] runs the fused kernel's
-    /// per-column expressions exactly. Batch packing and batch order can
-    /// therefore never change a response.
+    /// by construction, since both run the same private gather and
+    /// [`cross_correlation_rows_into`], and a column depends on no other
+    /// query. Batch packing and batch order can therefore never change a
+    /// response.
     ///
     /// The batched path is clean-only. Every query is checked here in one
     /// pass, in order, and the first bad one fails the batch: an empty batch
@@ -797,23 +740,32 @@ impl AttackPlan {
         self.correlate_clean(&clean)
     }
 
-    /// [`AttackPlan::correlate_batch`] after validation: gathers each
-    /// query's `t` selected features straight into the kernel's query-row
-    /// scratch and correlates them. Only [`CleanQuery::check`] builds its
-    /// input, so nothing here re-scans a query.
+    /// [`AttackPlan::correlate_batch`] after validation, at the plan's
+    /// configured `t`. Only [`CleanQuery::check`] builds its input, so
+    /// nothing here re-scans a query.
     pub(crate) fn correlate_clean(&mut self, queries: &[CleanQuery<'_>]) -> Result<Matrix> {
         let _span = neurodeanon_obs::span("plan.batch");
-        let t = self.config().n_features.min(self.known().n_features());
-        self.ensure_selection(t)?;
-        // The same elements, in the same order, that `select_rows_into`
-        // lays out as columns on the per-query path; the scratch keeps its
-        // allocation across batch sizes.
+        self.ensure_selection(self.config().n_features.min(self.known().n_features()))?;
+        self.correlate_selected(queries.len(), |j, i| queries[j].0[i])
+    }
+
+    /// The one gather + correlate step behind every clean answer: writes
+    /// feature `i` of query `j` (`value(j, i)`, for each selected `i` in
+    /// selection order) into row `j` of the query scratch, then correlates
+    /// the rows against the cached gallery. Column `j` of the result
+    /// depends on query `j` alone. The selection must be current.
+    fn correlate_selected(
+        &mut self,
+        n_queries: usize,
+        value: impl Fn(usize, usize) -> f64,
+    ) -> Result<Matrix> {
+        // The scratch keeps its allocation across calls and batch sizes.
         let mut rows = std::mem::replace(&mut self.anon_z, Matrix::zeros(0, 0)).into_vec();
         rows.clear();
-        for q in queries {
-            rows.extend(self.indices.iter().map(|&i| q.0[i]));
+        for j in 0..n_queries {
+            rows.extend(self.indices.iter().map(|&i| value(j, i)));
         }
-        self.anon_z = Matrix::from_vec(queries.len(), t, rows)?;
+        self.anon_z = Matrix::from_vec(n_queries, self.indices.len(), rows)?;
         let mut similarity = Matrix::zeros(0, 0);
         cross_correlation_rows_into(&self.known_z, &mut self.anon_z, &mut similarity)?;
         Ok(similarity)
@@ -1216,8 +1168,85 @@ mod tests {
         .unwrap()
         .run(&known, &anon)
         .unwrap();
-        let reference = crate::matching::decide_matching(&out.similarity, threshold).unwrap();
+        let reference = decide(&match_scores(&out.similarity).unwrap(), threshold);
         assert_eq!(out.decisions, reference);
+    }
+
+    #[test]
+    fn hungarian_decisions_threshold_the_assigned_margin() {
+        // Under the Hungarian rule a decision thresholds the margin of the
+        // assigned subject over the best other one, so an assignment that
+        // is not its column's argmax has a negative margin and rejects.
+        let c = cohort();
+        let known = c.group_matrix(Task::Rest, Session::One).unwrap();
+        let anon = c.group_matrix(Task::Rest, Session::Two).unwrap();
+        let threshold = 0.0;
+        let attack = DeanonAttack::new(AttackConfig {
+            n_features: 10,
+            match_rule: MatchRule::Hungarian,
+            reject_margin: Some(threshold),
+            ..Default::default()
+        })
+        .unwrap();
+        for threads in [1, 8] {
+            let out = neurodeanon_linalg::par::with_thread_count(threads, || {
+                attack.run(&known, &anon).unwrap()
+            });
+            let s = &out.similarity;
+            let mut margins = Vec::new();
+            let reference: Vec<Decision> = out
+                .predicted
+                .iter()
+                .enumerate()
+                .map(|(j, &p)| {
+                    if s[(p, j)].is_nan() {
+                        return Decision::Reject;
+                    }
+                    let runner_up = (0..s.rows())
+                        .filter(|&i| i != p)
+                        .map(|i| s[(i, j)])
+                        .fold(f64::NEG_INFINITY, f64::max);
+                    let margin = s[(p, j)] - runner_up;
+                    margins.push(margin);
+                    // A NaN margin never rejects.
+                    if margin < threshold {
+                        Decision::Reject
+                    } else {
+                        Decision::Match(p)
+                    }
+                })
+                .collect();
+            assert_eq!(out.decisions, reference, "{threads} threads");
+            assert!(margins.iter().any(|&m| m < 0.0), "{margins:?}");
+        }
+    }
+
+    #[test]
+    fn mask_hungarian_rejects_unmeasured_assignments() {
+        // A whole-missing subject's similarity column is all NaN, so the
+        // assignment gives it a leftover row it never measured: with no
+        // threshold, that is the one decision that rejects.
+        let c = cohort();
+        let known = c.group_matrix(Task::Rest, Session::One).unwrap();
+        let anon = c.group_matrix(Task::Rest, Session::Two).unwrap();
+        let spec = CorruptionSpec {
+            kind: CorruptionKind::DropSubjects,
+            severity: 0.6,
+            seed: 3,
+        };
+        let (bad_anon, report) = corrupt_group(&anon, &spec).unwrap();
+        let out = DeanonAttack::new(AttackConfig {
+            match_rule: MatchRule::Hungarian,
+            degraded: DegradedInput::Mask,
+            ..Default::default()
+        })
+        .unwrap()
+        .run(&known, &bad_anon)
+        .unwrap();
+        assert_eq!(out.n_rejected(), report.affected);
+        for (j, (d, &p)) in out.decisions.iter().zip(&out.predicted).enumerate() {
+            assert_eq!(d.is_reject(), out.similarity[(p, j)].is_nan(), "column {j}");
+        }
     }
 
     #[test]

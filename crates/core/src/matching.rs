@@ -8,68 +8,42 @@
 //!
 //! The closed-world rules above always name *some* gallery subject. The
 //! open-world layer (DESIGN.md §1.4) is built from two additions:
-//! [`match_scores`], the score-returning variant exposing each column's
-//! best candidate plus its margin over the runner-up, and [`decide`] /
-//! [`decide_matching`], the margin-thresholded decision rule mapping every
-//! query to [`Decision::Match`] or [`Decision::Reject`].
+//! [`match_scores`], the one column scan, exposing each column's best
+//! candidate plus its margin over the runner-up, and [`decide`], the
+//! margin-thresholded decision rule mapping every query to
+//! [`Decision::Match`] or [`Decision::Reject`]. Every attack outcome and
+//! every served response takes its predictions, margins and decisions from
+//! these two.
 
 use crate::error::CoreError;
 use crate::Result;
 use neurodeanon_linalg::{par, Matrix};
 
-/// Minimum similarity-matrix element count before `argmax_matching` spreads
+/// Minimum similarity-matrix element count before [`match_scores`] spreads
 /// columns over threads; each element costs one strided load + compare.
 const MATCH_PAR_THRESHOLD: usize = 1 << 16;
 
 /// Per-column argmax: `result[j]` = row index of the best-matching known
-/// subject for anonymous subject `j`.
-///
-/// Columns are scanned independently (one per chunk), each with the same
-/// sequential first-max-wins rule as [`neurodeanon_linalg::vector::argmax`]
-/// (NaN entries skipped), so the prediction vector is identical at any
-/// thread count.
+/// subject for anonymous subject `j` — the `best` of [`match_scores`], so
+/// the prediction vector is identical at any thread count. A column with no
+/// finite entry is a typed [`CoreError::UnmatchableColumn`].
 pub fn argmax_matching(similarity: &Matrix) -> Result<Vec<usize>> {
-    let out = argmax_matching_lenient(similarity)?;
-    if let Some(column) = out.iter().position(|&p| p == usize::MAX) {
-        // An all-NaN column would previously fall through Vector::argmax
-        // and silently corrupt downstream accuracy; it is a typed error.
-        return Err(CoreError::UnmatchableColumn { column });
-    }
-    Ok(out)
+    let _span = neurodeanon_obs::span("match.argmax");
+    best_rows(&match_scores(similarity)?)
 }
 
-/// [`argmax_matching`] that tolerates unmatchable columns: a column with no
-/// finite entry yields the sentinel `usize::MAX` ("no prediction") instead
-/// of an error. This is the matching rule of the `Mask` degradation policy,
-/// where a whole-missing anonymous subject must count as a miss rather than
-/// abort the attack on every other subject.
-pub fn argmax_matching_lenient(similarity: &Matrix) -> Result<Vec<usize>> {
-    let _span = neurodeanon_obs::span("match.argmax");
-    if similarity.is_empty() {
-        return Err(CoreError::InvalidParameter {
-            name: "similarity",
-            reason: "empty similarity matrix",
-        });
-    }
-    let rows = similarity.rows();
-    let mut out = vec![usize::MAX; similarity.cols()];
-    par::par_chunks_mut(&mut out, 1, rows, MATCH_PAR_THRESHOLD, |j, slot| {
-        let mut best: Option<(usize, f64)> = None;
-        for i in 0..rows {
-            let v = similarity[(i, j)];
-            if v.is_nan() {
-                continue;
-            }
-            match best {
-                Some((_, bv)) if bv >= v => {}
-                _ => best = Some((i, v)),
-            }
-        }
-        if let Some((bi, _)) = best {
-            slot[0] = bi;
-        }
-    });
-    Ok(out)
+/// The `best` of every score; the first `None` column is a typed
+/// [`CoreError::UnmatchableColumn`] (an all-NaN column must not silently
+/// corrupt downstream accuracy).
+pub(crate) fn best_rows(scores: &[Option<MatchScore>]) -> Result<Vec<usize>> {
+    scores
+        .iter()
+        .enumerate()
+        .map(|(column, s)| {
+            s.map(|ms| ms.best)
+                .ok_or(CoreError::UnmatchableColumn { column })
+        })
+        .collect()
 }
 
 /// Verdict of the open-world decision layer for one anonymous query.
@@ -102,28 +76,32 @@ impl Decision {
     }
 }
 
-/// Best candidate of one similarity column, with the evidence the decision
-/// layer thresholds on.
+/// One query's candidate, with the evidence the decision layer thresholds
+/// on.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MatchScore {
-    /// Row index of the best finite entry (first-max-wins, bit-identical
-    /// to [`argmax_matching_lenient`]).
+    /// Row index of the candidate: in [`match_scores`], the column's best
+    /// finite entry (first-max-wins, NaN skipped); for a Hungarian outcome,
+    /// the assigned row.
     pub best: usize,
-    /// The best similarity itself.
+    /// The candidate's similarity itself.
     pub score: f64,
-    /// Gap to the runner-up (`best − second`). `NaN` when no finite
-    /// runner-up exists (single-row gallery): the margin is *undefined*,
-    /// not infinitely confident — mirroring
-    /// [`AttackOutcome::match_margins`](crate::AttackOutcome::match_margins).
+    /// Gap to the best *other* row (`score − runner-up`): never negative
+    /// for the argmax, negative for an assigned row that another row beats.
+    /// `NaN` when no finite runner-up exists (single-row gallery): the
+    /// margin is *undefined*, not infinitely confident.
+    /// [`AttackOutcome::match_margins`](crate::AttackOutcome::match_margins)
+    /// reads it from here.
     pub margin: f64,
 }
 
-/// Per-column best scores: `result[j]` describes the strongest known-subject
-/// candidate for anonymous subject `j`, or `None` when the column has no
-/// finite entry. The `best` indices are exactly
-/// [`argmax_matching_lenient`]'s predictions (same first-max-wins scan,
-/// same NaN skipping), so score-based and index-based call sites agree
-/// bit-for-bit at any thread count.
+/// Per-column best scores — the one column scan behind every argmax
+/// prediction, margin and decision: `result[j]` describes the strongest
+/// known-subject candidate for anonymous subject `j`, or `None` when the
+/// column has no finite entry. Each column is scanned sequentially with the
+/// first-max-wins rule of [`neurodeanon_linalg::vector::argmax`] (NaN
+/// entries skipped), one column per chunk, so the scores are identical at
+/// any thread count.
 pub fn match_scores(similarity: &Matrix) -> Result<Vec<Option<MatchScore>>> {
     if similarity.is_empty() {
         return Err(CoreError::InvalidParameter {
@@ -167,32 +145,33 @@ pub fn match_scores(similarity: &Matrix) -> Result<Vec<Option<MatchScore>>> {
     Ok(out)
 }
 
-/// The margin-thresholded decision rule: a query matches its best candidate
+/// The margin-thresholded decision rule: a query matches its candidate
 /// when its margin is at least `margin_threshold`, and is rejected
 /// otherwise (or when it has no candidate at all).
 ///
 /// Contract details:
 /// * A threshold of `0.0` (or anything non-positive) never rejects a
-///   query with a genuine argmax — margins are non-negative by
+///   query with a genuine argmax — argmax margins are non-negative by
 ///   construction, so thresholding only begins to bite above zero.
+/// * A threshold of `−∞` (no `reject_margin` configured) rejects exactly
+///   the `None` scores.
 /// * An *undefined* margin (`NaN`, single-row gallery) never rejects: with
 ///   no runner-up there is no evidence of ambiguity to threshold on.
 pub fn decide(scores: &[Option<MatchScore>], margin_threshold: f64) -> Vec<Decision> {
     scores
         .iter()
-        .map(|s| match s {
-            None => Decision::Reject,
-            // NaN < t is false, so undefined margins always accept.
-            Some(ms) if ms.margin < margin_threshold => Decision::Reject,
-            Some(ms) => Decision::Match(ms.best),
-        })
+        .map(|&s| decide_one(s, margin_threshold))
         .collect()
 }
 
-/// [`match_scores`] composed with [`decide`]: one call from a similarity
-/// matrix to open-world decisions.
-pub fn decide_matching(similarity: &Matrix, margin_threshold: f64) -> Result<Vec<Decision>> {
-    Ok(decide(&match_scores(similarity)?, margin_threshold))
+/// [`decide`] for one query's score.
+pub(crate) fn decide_one(score: Option<MatchScore>, margin_threshold: f64) -> Decision {
+    match score {
+        // NaN < t is false, so undefined margins always accept.
+        Some(ms) if ms.margin < margin_threshold => Decision::Reject,
+        Some(ms) => Decision::Match(ms.best),
+        None => Decision::Reject,
+    }
 }
 
 /// Optimal one-to-one assignment maximizing total similarity (Kuhn–Munkres,
@@ -394,11 +373,11 @@ mod tests {
             argmax_matching(&s),
             Err(CoreError::UnmatchableColumn { column: 1 })
         ));
-        // The lenient variant reports the sentinel instead.
-        let lenient = argmax_matching_lenient(&s).unwrap();
-        assert_eq!(lenient[1], usize::MAX);
-        assert_ne!(lenient[0], usize::MAX);
-        assert_ne!(lenient[2], usize::MAX);
+        // The scores report the column as `None` instead.
+        let scores = match_scores(&s).unwrap();
+        assert!(scores[1].is_none());
+        assert!(scores[0].is_some());
+        assert!(scores[2].is_some());
     }
 
     #[test]
@@ -454,9 +433,9 @@ mod tests {
             Matrix::from_rows(&[&[0.9, 0.1, 0.2], &[0.3, 0.8, 0.1], &[0.2, 0.4, 0.7]]).unwrap();
         s[(0, 1)] = f64::NAN;
         let scores = match_scores(&s).unwrap();
-        let lenient = argmax_matching_lenient(&s).unwrap();
+        // First max wins per column, the NaN in column 1 skipped.
         for (j, sc) in scores.iter().enumerate() {
-            assert_eq!(sc.unwrap().best, lenient[j]);
+            assert_eq!(sc.unwrap().best, j);
         }
         // Column 0: best 0.9 over runner-up 0.3.
         let ms = scores[0].unwrap();
@@ -496,14 +475,14 @@ mod tests {
     #[test]
     fn zero_threshold_never_rejects_a_genuine_argmax() {
         let s = Matrix::from_fn(4, 5, |i, j| (((i * 7 + j * 3) % 11) as f64) / 11.0);
-        let decisions = decide_matching(&s, 0.0).unwrap();
+        let decisions = decide(&match_scores(&s).unwrap(), 0.0);
         let argmax = argmax_matching(&s).unwrap();
         for (d, &p) in decisions.iter().zip(&argmax) {
             assert_eq!(*d, Decision::Match(p));
         }
         // Ties produce margin 0, which a zero threshold still accepts.
         let tied = Matrix::from_rows(&[&[0.5, 0.5], &[0.5, 0.1]]).unwrap();
-        let d = decide_matching(&tied, 0.0).unwrap();
+        let d = decide(&match_scores(&tied).unwrap(), 0.0);
         assert_eq!(d, vec![Decision::Match(0), Decision::Match(0)]);
     }
 
@@ -538,7 +517,7 @@ mod tests {
     #[test]
     fn validations() {
         assert!(argmax_matching(&Matrix::zeros(0, 0)).is_err());
-        assert!(argmax_matching_lenient(&Matrix::zeros(0, 0)).is_err());
+        assert!(match_scores(&Matrix::zeros(0, 0)).is_err());
         assert!(hungarian_matching(&Matrix::zeros(2, 3)).is_err());
         let mut s = Matrix::zeros(2, 2);
         s[(0, 0)] = f64::NAN;

@@ -50,7 +50,7 @@ pub use queue::{BoundedQueue, QueueError};
 
 use crate::attack::{AttackPlan, CleanQuery, DegradedInput, MatchRule, QueryCheck};
 use crate::error::CoreError;
-use crate::matching::{match_scores, Decision, MatchScore};
+use crate::matching::{decide_one, match_scores, Decision, MatchScore};
 use crate::Result;
 use neurodeanon_connectome::GroupMatrix;
 use neurodeanon_datasets::ServiceFaultKind;
@@ -649,9 +649,9 @@ impl Worker {
                 Err(_) => {
                     // The batch hit a poison query: rebuild the plan (its
                     // scratch state is suspect mid-unwind), then isolate by
-                    // re-running the batch one query at a time. Clean
-                    // batchmates produce bit-identical results to the
-                    // batched path, so isolation never changes an answer.
+                    // re-running the batch as one-job batches. A column
+                    // depends only on its own query, so isolation never
+                    // changes an answer.
                     if !self.respawn() {
                         self.park(batch);
                         return;
@@ -659,10 +659,10 @@ impl Worker {
                     let mut it = batch.into_iter();
                     for job in it.by_ref() {
                         let solo = catch_unwind(AssertUnwindSafe(|| {
-                            process_one(&mut self.plan, &job.query)
+                            process_batch(&mut self.plan, std::slice::from_ref(&job))
                         }));
                         match solo {
-                            Ok(result) => send_reply(job, result, &self.stats),
+                            Ok(mut result) => send_reply(job, result.remove(0), &self.stats),
                             Err(_) => {
                                 send_reply(job, Err(QueryError::WorkerPanicked), &self.stats);
                                 if !self.respawn() {
@@ -753,9 +753,9 @@ enum Admission<'a> {
     Refused(QueryError),
 }
 
-/// Validation shared by the batch and solo paths, one pass per query: the
-/// chaos hook, the deadline, then [`CleanQuery::check`]'s length and
-/// non-finite count, which decide the query's [`Admission`].
+/// Validation of one query, in one pass: the chaos hook, the deadline, then
+/// [`CleanQuery::check`]'s length and non-finite count, which decide the
+/// query's [`Admission`].
 fn prevalidate<'a>(
     query: &'a Query,
     want: usize,
@@ -781,8 +781,9 @@ fn prevalidate<'a>(
     }
 }
 
-/// Answers a whole batch: validation and policy per query, then one fused
-/// GEMM over the clean majority. Returns one result per job, in order.
+/// Answers a batch: validation and policy per query, then one fused GEMM
+/// over the clean majority. Returns one result per job, in order. The
+/// quarantine re-run after a contained panic calls it on one-job slices.
 /// Panics only via a poison query (contained by the caller).
 fn process_batch(plan: &mut AttackPlan, batch: &[Job]) -> Vec<QueryResult> {
     let now = Instant::now();
@@ -816,11 +817,8 @@ fn process_batch(plan: &mut AttackPlan, batch: &[Job]) -> Vec<QueryResult> {
                 }
             }
             Err(e) => {
-                let message = e.to_string();
                 for &i in &clean {
-                    results[i] = Some(Err(QueryError::Attack {
-                        message: message.clone(),
-                    }));
+                    results[i] = Some(Err(attack_error(&e)));
                 }
             }
         }
@@ -831,64 +829,25 @@ fn process_batch(plan: &mut AttackPlan, batch: &[Job]) -> Vec<QueryResult> {
         .collect()
 }
 
-/// Answers one query alone — the quarantine path after a contained panic,
-/// bit-identical to the batched path for clean queries (a singleton batch
-/// is a one-column GEMM through the same kernels).
-fn process_one(plan: &mut AttackPlan, query: &Query) -> QueryResult {
-    let now = Instant::now();
-    let want = plan.known().n_features();
-    let policy = plan.config().degraded;
-    let clean = match prevalidate(query, want, policy, now) {
-        Admission::Clean(c) => c,
-        Admission::Degraded => return solo_degraded(plan, query),
-        Admission::Refused(err) => return Err(err),
-    };
-    match plan
-        .correlate_clean(&[clean])
-        .and_then(|sim| match_scores(&sim))
-    {
-        Ok(scores) => Ok(response_from_score(plan, query, scores[0])),
-        Err(e) => Err(QueryError::Attack {
-            message: e.to_string(),
-        }),
-    }
-}
-
-/// Builds the response for a clean query from its similarity column's
-/// [`MatchScore`], applying the plan's `reject_margin` with exactly the
-/// decision semantics of the one-shot pipeline's `decisions_from`.
+/// The response for one query from its similarity column's
+/// [`MatchScore`], decided by the same per-score rule as every attack
+/// outcome (`decide` at the plan's `reject_margin`, −∞ when unset).
 fn response_from_score(
     plan: &AttackPlan,
     query: &Query,
     score: Option<MatchScore>,
 ) -> MatchResponse {
-    match score {
-        None => MatchResponse {
-            query_id: query.id,
-            subject_id: query.subject_id.clone(),
-            best: None,
-            best_id: None,
-            score: f64::NAN,
-            margin: f64::NAN,
-            decision: Decision::Reject,
-        },
-        Some(ms) => {
-            // NaN margins never reject (`NaN < t` is false): with no
-            // runner-up there is no ambiguity evidence to threshold on.
-            let decision = match plan.config().reject_margin {
-                Some(threshold) if ms.margin < threshold => Decision::Reject,
-                _ => Decision::Match(ms.best),
-            };
-            MatchResponse {
-                query_id: query.id,
-                subject_id: query.subject_id.clone(),
-                best: Some(ms.best),
-                best_id: Some(plan.known().subject_ids()[ms.best].clone()),
-                score: ms.score,
-                margin: ms.margin,
-                decision,
-            }
-        }
+    MatchResponse {
+        query_id: query.id,
+        subject_id: query.subject_id.clone(),
+        best: score.map(|ms| ms.best),
+        best_id: score.map(|ms| plan.known().subject_ids()[ms.best].clone()),
+        score: score.map_or(f64::NAN, |ms| ms.score),
+        margin: score.map_or(f64::NAN, |ms| ms.margin),
+        decision: decide_one(
+            score,
+            plan.config().reject_margin.unwrap_or(f64::NEG_INFINITY),
+        ),
     }
 }
 
@@ -902,9 +861,7 @@ fn solo_degraded(plan: &mut AttackPlan, query: &Query) -> QueryResult {
         vec![query.subject_id.clone()],
         plan.known().n_regions(),
     )
-    .map_err(|e| QueryError::Attack {
-        message: e.to_string(),
-    })?;
+    .map_err(attack_error)?;
     let n_features = plan.config().n_features;
     let outcome = plan
         .run_with(&group, n_features, MatchRule::Argmax)
@@ -912,31 +869,15 @@ fn solo_degraded(plan: &mut AttackPlan, query: &Query) -> QueryResult {
             CoreError::NonFiniteInput { n_non_finite, .. } => {
                 QueryError::NonFinite { n_non_finite }
             }
-            other => QueryError::Attack {
-                message: other.to_string(),
-            },
+            other => attack_error(other),
         })?;
-    let p = outcome.predicted[0];
-    let decision = outcome.decisions[0];
-    if p == usize::MAX {
-        Ok(MatchResponse {
-            query_id: query.id,
-            subject_id: query.subject_id.clone(),
-            best: None,
-            best_id: None,
-            score: f64::NAN,
-            margin: f64::NAN,
-            decision,
-        })
-    } else {
-        Ok(MatchResponse {
-            query_id: query.id,
-            subject_id: query.subject_id.clone(),
-            best: Some(p),
-            best_id: Some(plan.known().subject_ids()[p].clone()),
-            score: outcome.similarity[(p, 0)],
-            margin: outcome.match_margins()[0],
-            decision,
-        })
+    let score = match_scores(&outcome.similarity).map_err(attack_error)?[0];
+    Ok(response_from_score(plan, query, score))
+}
+
+/// A typed attack error for one query.
+fn attack_error(e: impl std::fmt::Display) -> QueryError {
+    QueryError::Attack {
+        message: e.to_string(),
     }
 }

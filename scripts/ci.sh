@@ -91,24 +91,38 @@ rm -rf "$TRACE_DIR"
 echo "    traced output identical to untraced at both thread counts"
 
 # Serve smoke (DESIGN.md §1.7): the demo match server must drain clean and
-# print byte-identical responses at 1 thread and at the default count —
-# batching, worker scheduling, and the linalg pool must all be invisible in
-# the responses. The chaos run (pinned seed) must also drain clean while
-# quarantining exactly the injected faults; its response set is timing-
-# dependent only in which error a faulted query gets, never in a clean
-# query's match, so it gates on exit status + clean drain, not on a diff.
-echo "==> serve smoke: deanon serve --demo @ NEURODEANON_THREADS=1 and default"
+# print byte-identical responses at 1 thread and at the default count, and
+# with every query answered alone (1 worker, batch 1) — batching, worker
+# scheduling, and the linalg pool must all be invisible in the responses.
+# The chaos runs (pinned seed) must drain clean while quarantining exactly
+# the injected faults. Under the mask policy their CSV is diffed across two
+# packings, 1 worker × batch 1 against 4 workers × batch 3, which exercises
+# the degraded solo path and the quarantine re-run. That schedule does not
+# depend on timing: it sets no deadlines, so nothing is shed, and the
+# 64-respawn budget per worker is far above the handful of injected panics
+# (each costs at most two respawns), so no worker parks.
+echo "==> serve smoke: deanon serve --demo across thread counts and packings"
 SERVE_DIR="$(mktemp -d)"
 NEURODEANON_THREADS=1 ./target/release/deanon serve --demo --queries 60 \
   > "$SERVE_DIR/serve1.csv" 2> "$SERVE_DIR/serve1.log"
 ./target/release/deanon serve --demo --queries 60 \
   > "$SERVE_DIR/serve_default.csv" 2> "$SERVE_DIR/serve_default.log"
 diff "$SERVE_DIR/serve1.csv" "$SERVE_DIR/serve_default.csv"
+./target/release/deanon serve --demo --queries 60 --workers 1 --batch 1 \
+  > "$SERVE_DIR/serve_solo.csv" 2> "$SERVE_DIR/serve_solo.log"
+diff "$SERVE_DIR/serve_solo.csv" "$SERVE_DIR/serve_default.csv"
 NEURODEANON_THREADS=1 ./target/release/deanon serve --demo --queries 60 \
   --chaos-seed 7 --chaos-rate 0.25 > "$SERVE_DIR/chaos.csv" 2> "$SERVE_DIR/chaos.log"
 grep -q "quarantined" "$SERVE_DIR/chaos.log"
+./target/release/deanon serve --demo --queries 60 --degraded-policy mask \
+  --chaos-seed 7 --chaos-rate 0.25 --workers 1 --batch 1 \
+  > "$SERVE_DIR/chaos_mask_solo.csv" 2> "$SERVE_DIR/chaos_mask_solo.log"
+./target/release/deanon serve --demo --queries 60 --degraded-policy mask \
+  --chaos-seed 7 --chaos-rate 0.25 --workers 4 --batch 3 \
+  > "$SERVE_DIR/chaos_mask_packed.csv" 2> "$SERVE_DIR/chaos_mask_packed.log"
+diff "$SERVE_DIR/chaos_mask_solo.csv" "$SERVE_DIR/chaos_mask_packed.csv"
 rm -rf "$SERVE_DIR"
-echo "    serve responses identical at both thread counts; chaos run drained clean"
+echo "    serve responses identical across thread counts and packings, clean and degraded"
 
 # Kernel smoke: the kernels bench at small scale emits kernel_bench GFLOP/s
 # records and gates them against crates/bench/benches/kernel_baseline.jsonl —
