@@ -108,9 +108,6 @@ pub struct AttackConfig {
     /// Number of leverage features to retain (paper: < 100 out of 64,620
     /// suffices for resting state).
     pub n_features: usize,
-    /// Restrict leverage scores to the top-`k` singular directions
-    /// (`None` = full column space, the paper's default).
-    pub rank_k: Option<usize>,
     /// Use the randomized-SVD fast path for feature selection instead of
     /// the exact thin SVD (`None` = exact, the paper's method). Useful when
     /// the feature space is voxel-scale rather than region-pair-scale.
@@ -139,14 +136,6 @@ impl AttackConfig {
                 reason: "must retain at least one feature",
             });
         }
-        if let Some(k) = self.rank_k {
-            if k == 0 {
-                return Err(CoreError::InvalidParameter {
-                    name: "rank_k",
-                    reason: "rank restriction must be at least 1",
-                });
-            }
-        }
         if let Some(m) = self.reject_margin {
             if !m.is_finite() {
                 return Err(CoreError::InvalidParameter {
@@ -163,7 +152,6 @@ impl Default for AttackConfig {
     fn default() -> Self {
         AttackConfig {
             n_features: 100,
-            rank_k: None,
             randomized: None,
             match_rule: MatchRule::Argmax,
             degraded: DegradedInput::default(),
@@ -308,17 +296,17 @@ impl DeanonAttack {
 }
 
 /// The full descending leverage order of `a` under `config`: one
-/// factorization — the exact thin SVD scored under `config.rank_k`, or the
-/// seeded subspace iteration of `config.randomized`, which ignores
-/// `rank_k` — then [`leverage_scores_from_svd`] and [`argsort_desc`]. The
-/// factorization lives only long enough to yield the order.
+/// factorization — the exact thin SVD, or the seeded subspace iteration of
+/// `config.randomized` — then [`leverage_scores_from_svd`] over the full
+/// column space and [`argsort_desc`]. The factorization lives only long
+/// enough to yield the order.
 fn leverage_order(a: &Matrix, config: &AttackConfig) -> Result<Vec<usize>> {
-    let (svd, rank_k) = match &config.randomized {
-        None => (thin_svd(a), config.rank_k),
-        Some(cfg) => (randomized_svd_auto(a, cfg), None),
+    let svd = match &config.randomized {
+        None => thin_svd(a),
+        Some(cfg) => randomized_svd_auto(a, cfg),
     };
     let svd = svd.map_err(|e| CoreError::Sampling(SamplingError::Linalg(e)))?;
-    Ok(argsort_desc(&leverage_scores_from_svd(&svd, rank_k)))
+    Ok(argsort_desc(&leverage_scores_from_svd(&svd, None)))
 }
 
 /// The [`CoreError::NonFiniteInput`] blaming `side` for the non-finite
@@ -1057,11 +1045,6 @@ mod tests {
             ..Default::default()
         })
         .is_err());
-        assert!(DeanonAttack::new(AttackConfig {
-            rank_k: Some(0),
-            ..Default::default()
-        })
-        .is_err());
     }
 
     #[test]
@@ -1337,25 +1320,19 @@ mod tests {
         let known = c.group_matrix(Task::Rest, Session::One).unwrap();
         let anon1 = c.group_matrix(Task::Rest, Session::Two).unwrap();
         let anon2 = c.group_matrix(Task::Language, Session::Two).unwrap();
-        for rank_k in [None, Some(4)] {
-            let config = AttackConfig {
-                rank_k,
+        let mut plan = AttackPlan::prepare(known.clone(), AttackConfig::default()).unwrap();
+        // Many anon matrices and t values against one plan, out of order so
+        // the cache is exercised in both hit and refresh directions.
+        for t in [30usize, 100, 30, 5] {
+            let attack = DeanonAttack::new(AttackConfig {
+                n_features: t,
                 ..Default::default()
-            };
-            let mut plan = AttackPlan::prepare(known.clone(), config.clone()).unwrap();
-            // Many anon matrices and t values against one plan, out of order
-            // so the cache is exercised in both hit and refresh directions.
-            for t in [30usize, 100, 30, 5] {
-                let attack = DeanonAttack::new(AttackConfig {
-                    n_features: t,
-                    ..config.clone()
-                })
-                .unwrap();
-                for anon in [&anon1, &anon2] {
-                    let direct = attack.run(&known, anon).unwrap();
-                    let planned = plan.run_with(anon, t, MatchRule::Argmax).unwrap();
-                    outcomes_bit_identical(&direct, &planned);
-                }
+            })
+            .unwrap();
+            for anon in [&anon1, &anon2] {
+                let direct = attack.run(&known, anon).unwrap();
+                let planned = plan.run_with(anon, t, MatchRule::Argmax).unwrap();
+                outcomes_bit_identical(&direct, &planned);
             }
         }
     }
@@ -1365,28 +1342,24 @@ mod tests {
         let c = cohort();
         let known = c.group_matrix(Task::Rest, Session::One).unwrap();
         let anon = c.group_matrix(Task::Rest, Session::Two).unwrap();
-        // The randomized path ignores `rank_k` on both sides.
-        for rank_k in [None, Some(3)] {
-            let config = AttackConfig {
-                rank_k,
-                randomized: Some(neurodeanon_linalg::rsvd::RsvdConfig {
-                    rank: 8,
-                    power_iters: 2,
-                    ..Default::default()
-                }),
+        let config = AttackConfig {
+            randomized: Some(neurodeanon_linalg::rsvd::RsvdConfig {
+                rank: 8,
+                power_iters: 2,
                 ..Default::default()
-            };
-            let mut plan = AttackPlan::prepare(known.clone(), config.clone()).unwrap();
-            for t in [20usize, 100] {
-                let attack = DeanonAttack::new(AttackConfig {
-                    n_features: t,
-                    ..config.clone()
-                })
-                .unwrap();
-                let direct = attack.run(&known, &anon).unwrap();
-                let planned = plan.run_with(&anon, t, MatchRule::Argmax).unwrap();
-                outcomes_bit_identical(&direct, &planned);
-            }
+            }),
+            ..Default::default()
+        };
+        let mut plan = AttackPlan::prepare(known.clone(), config.clone()).unwrap();
+        for t in [20usize, 100] {
+            let attack = DeanonAttack::new(AttackConfig {
+                n_features: t,
+                ..config.clone()
+            })
+            .unwrap();
+            let direct = attack.run(&known, &anon).unwrap();
+            let planned = plan.run_with(&anon, t, MatchRule::Argmax).unwrap();
+            outcomes_bit_identical(&direct, &planned);
         }
     }
 

@@ -131,10 +131,9 @@ fn reference_attack(
     known: &GroupMatrix,
     anon: &GroupMatrix,
     t: usize,
-    rank_k: Option<usize>,
 ) -> (Vec<usize>, Matrix, Vec<usize>) {
     let svd = thin_svd(known.as_matrix()).unwrap();
-    let mut selected = argsort_desc(&leverage_scores_from_svd(&svd, rank_k));
+    let mut selected = argsort_desc(&leverage_scores_from_svd(&svd, None));
     selected.truncate(t.min(known.n_features()));
     let (mut kz, mut az) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
     zscored_cols_into(&known.as_matrix().select_rows(&selected).unwrap(), &mut kz);
@@ -148,48 +147,45 @@ fn reference_attack(
 }
 
 /// The memoized plan is indistinguishable from the direct attack and from
-/// an independent reference: for any cohort, feature budget, and rank
-/// restriction, a plan already run against another release returns
-/// bit-identical similarities, predictions, and selections to a fresh
-/// `DeanonAttack::run` (a one-shot plan) and to [`reference_attack`] — at 1
-/// and 8 threads. This is the contract that lets every experiment sweep
-/// reuse one factorization.
+/// an independent reference: for any cohort and feature budget, a plan
+/// already run against another release returns bit-identical similarities,
+/// predictions, and selections to a fresh `DeanonAttack::run` (a one-shot
+/// plan) and to [`reference_attack`] — at 1 and 8 threads. This is the
+/// contract that lets every experiment sweep reuse one factorization.
 #[test]
 fn attack_plan_is_bitwise_equal_to_direct_attack() {
-    forall!(Config::cases(6), (seed in u64_in(0..1000), t in usize_in(5..120), k in usize_in(1..6)) => {
+    forall!(Config::cases(6), (seed in u64_in(0..1000), t in usize_in(5..120)) => {
         let cohort = HcpCohort::generate(HcpCohortConfig::small(7, seed)).unwrap();
         let known = cohort.group_matrix(Task::Rest, Session::One).unwrap();
         let anon = cohort.group_matrix(Task::Motor, Session::Two).unwrap();
         let other_release = cohort.group_matrix(Task::Rest, Session::Two).unwrap();
-        for rank_k in [None, Some(k)] {
-            let config = AttackConfig { n_features: t, rank_k, ..Default::default() };
-            for threads in [1usize, 8] {
-                let (direct, planned, reference) = with_thread_count(threads, || {
-                    let direct = DeanonAttack::new(config.clone())
-                        .unwrap()
-                        .run(&known, &anon)
-                        .unwrap();
-                    let mut plan = AttackPlan::prepare(known.clone(), config.clone()).unwrap();
-                    // One plan, many releases: warm the cache on another
-                    // release, then the compared call must still agree.
-                    plan.run_with(&other_release, t, MatchRule::Argmax).unwrap();
-                    let planned = plan.run_against(&anon).unwrap();
-                    (direct, planned, reference_attack(&known, &anon, t, rank_k))
-                });
-                tk_assert_eq!(direct.predicted, planned.predicted, "threads={threads} rank_k={rank_k:?}");
-                tk_assert_eq!(direct.truth, planned.truth);
-                tk_assert_eq!(direct.selected_features, planned.selected_features);
-                tk_assert_eq!(direct.accuracy.to_bits(), planned.accuracy.to_bits());
-                for (x, y) in direct.similarity.as_slice().iter().zip(planned.similarity.as_slice()) {
-                    tk_assert_eq!(x.to_bits(), y.to_bits(), "threads={threads} rank_k={rank_k:?}");
-                }
-                let (selected, similarity, predicted) = reference;
-                tk_assert_eq!(&planned.selected_features, &selected, "reference selection, threads={threads} rank_k={rank_k:?}");
-                tk_assert_eq!(&planned.predicted, &predicted, "reference predictions, threads={threads} rank_k={rank_k:?}");
-                tk_assert_eq!(planned.similarity.shape(), similarity.shape());
-                for (x, y) in planned.similarity.as_slice().iter().zip(similarity.as_slice()) {
-                    tk_assert_eq!(x.to_bits(), y.to_bits(), "reference similarity, threads={threads} rank_k={rank_k:?}");
-                }
+        let config = AttackConfig { n_features: t, ..Default::default() };
+        for threads in [1usize, 8] {
+            let (direct, planned, reference) = with_thread_count(threads, || {
+                let direct = DeanonAttack::new(config.clone())
+                    .unwrap()
+                    .run(&known, &anon)
+                    .unwrap();
+                let mut plan = AttackPlan::prepare(known.clone(), config.clone()).unwrap();
+                // One plan, many releases: warm the cache on another
+                // release, then the compared call must still agree.
+                plan.run_with(&other_release, t, MatchRule::Argmax).unwrap();
+                let planned = plan.run_against(&anon).unwrap();
+                (direct, planned, reference_attack(&known, &anon, t))
+            });
+            tk_assert_eq!(direct.predicted, planned.predicted, "threads={threads}");
+            tk_assert_eq!(direct.truth, planned.truth);
+            tk_assert_eq!(direct.selected_features, planned.selected_features);
+            tk_assert_eq!(direct.accuracy.to_bits(), planned.accuracy.to_bits());
+            for (x, y) in direct.similarity.as_slice().iter().zip(planned.similarity.as_slice()) {
+                tk_assert_eq!(x.to_bits(), y.to_bits(), "threads={threads}");
+            }
+            let (selected, similarity, predicted) = reference;
+            tk_assert_eq!(&planned.selected_features, &selected, "reference selection, threads={threads}");
+            tk_assert_eq!(&planned.predicted, &predicted, "reference predictions, threads={threads}");
+            tk_assert_eq!(planned.similarity.shape(), similarity.shape());
+            for (x, y) in planned.similarity.as_slice().iter().zip(similarity.as_slice()) {
+                tk_assert_eq!(x.to_bits(), y.to_bits(), "reference similarity, threads={threads}");
             }
         }
     });

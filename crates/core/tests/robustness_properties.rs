@@ -187,18 +187,18 @@ fn degraded_known_side_is_survivable_under_mask() {
     });
 }
 
-/// The masked path's leverage selection under a rank restriction and under
-/// the randomized bank. With `Mask`, a cell-degraded anonymous release and
-/// a clean or region-degraded known side, `selected_features` equals a
-/// reference written out from public calls: the shared support
+/// The masked path's leverage selection under the exact and the randomized
+/// bank. With `Mask`, a cell-degraded anonymous release and a clean or
+/// region-degraded known side, `selected_features` equals a reference
+/// written out from public calls: the shared support
 /// (`finite_rows(known)` ∩ `rows_with_any_finite(anon)`), `select_rows`,
-/// `thin_svd` or `randomized_svd_auto`, `leverage_scores_from_svd`,
-/// `argsort_desc`, and the top `t` mapped back through the support — at 1
-/// and 8 threads. The randomized bank ignores `rank_k`.
+/// `thin_svd` or `randomized_svd_auto`, `leverage_scores_from_svd` over the
+/// full column space, `argsort_desc`, and the top `t` mapped back through the
+/// support — at 1 and 8 threads.
 #[test]
-fn masked_selection_matches_reference_under_rank_k_and_randomized() {
+fn masked_selection_matches_reference_exact_and_randomized() {
     forall!(Config::cases(6), (seed in u64_in(0..1000), t in usize_in(5..120),
-                               k in usize_in(1..6), known_step in usize_in(0..3)) => {
+                               known_step in usize_in(0..3)) => {
         let cohort = tiny(seed);
         let mut known = cohort.group_matrix(Task::Rest, Session::One).unwrap();
         if known_step > 0 {
@@ -215,22 +215,17 @@ fn masked_selection_matches_reference_under_rank_k_and_randomized() {
         );
         let known_sub = known.as_matrix().select_rows(&shared).unwrap();
         let rsvd = RsvdConfig { rank: 4, power_iters: 2, ..Default::default() };
-        for (rank_k, randomized) in [
-            (Some(k), None),
-            (None, Some(rsvd.clone())),
-            (Some(k), Some(rsvd.clone())),
-        ] {
-            let (svd, score_rank) = match &randomized {
-                None => (thin_svd(&known_sub).unwrap(), rank_k),
-                Some(cfg) => (randomized_svd_auto(&known_sub, cfg).unwrap(), None),
+        for randomized in [None, Some(rsvd)] {
+            let svd = match &randomized {
+                None => thin_svd(&known_sub).unwrap(),
+                Some(cfg) => randomized_svd_auto(&known_sub, cfg).unwrap(),
             };
-            let order = argsort_desc(&leverage_scores_from_svd(&svd, score_rank));
+            let order = argsort_desc(&leverage_scores_from_svd(&svd, None));
             let expected: Vec<usize> =
                 order[..t.min(shared.len())].iter().map(|&i| shared[i]).collect();
-            let what = format!("rank_k={rank_k:?} randomized={}", randomized.is_some());
+            let what = format!("randomized={}", randomized.is_some());
             let attack = DeanonAttack::new(AttackConfig {
                 n_features: t,
-                rank_k,
                 randomized,
                 degraded: DegradedInput::Mask,
                 ..Default::default()

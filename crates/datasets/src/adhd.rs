@@ -4,7 +4,8 @@
 
 use crate::error::DatasetError;
 use crate::model::{
-    dense_loadings, signature_regions, supported_loadings, synthesize_ts, Component, Session,
+    dense_loadings, signature_regions, stack_connectomes, supported_loadings, synthesize_ts,
+    Component, Session,
 };
 use crate::Result;
 use neurodeanon_connectome::{Connectome, GroupMatrix};
@@ -298,7 +299,13 @@ impl AdhdCohort {
     }
 
     /// Group matrix over the given subjects (e.g. one subtype, or everyone)
-    /// for one session.
+    /// for one session, one column per entry of `subjects` in list order.
+    ///
+    /// Subjects' connectomes are built in parallel on `linalg::par`, so the
+    /// thread count follows `NEURODEANON_THREADS` and
+    /// `par::with_thread_count`; the matrix is bit-identical at any thread
+    /// count. An empty `subjects` list is an `InvalidConfig` error; otherwise
+    /// the error is the first failing subject in list order.
     pub fn group_matrix_for(&self, subjects: &[usize], session: Session) -> Result<GroupMatrix> {
         if subjects.is_empty() {
             return Err(DatasetError::InvalidConfig {
@@ -306,38 +313,19 @@ impl AdhdCohort {
                 reason: "need at least one subject",
             });
         }
-        let n_features = self.config.n_regions * (self.config.n_regions - 1) / 2;
-        let mut data = Matrix::zeros(n_features, subjects.len());
-        let mut ids = Vec::with_capacity(subjects.len());
-        let mut results: Vec<Option<Result<Vec<f64>>>> = subjects.iter().map(|_| None).collect();
-        let workers = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .min(8)
-            .min(subjects.len());
-        let chunk = subjects.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            for (w, slot) in results.chunks_mut(chunk).enumerate() {
-                let start = w * chunk;
-                let subjects = &subjects;
-                scope.spawn(move || {
-                    for (off, out) in slot.iter_mut().enumerate() {
-                        let s = subjects[start + off];
-                        *out = Some(self.connectome(s, session).map(|c| c.vectorize()));
-                    }
-                });
-            }
-        });
-        for (col, (slot, &s)) in results.into_iter().zip(subjects).enumerate() {
-            let v = slot.expect("worker filled every slot")?;
-            data.set_col(col, &v)?;
-            ids.push(format!(
-                "sub{s:04}/{}/{}",
-                self.groups[s].label(),
-                session.encoding()
-            ));
-        }
-        GroupMatrix::from_matrix(data, ids, self.config.n_regions).map_err(Into::into)
+        stack_connectomes(
+            self.config.n_regions,
+            subjects.len(),
+            |col| self.connectome(subjects[col], session),
+            |col| {
+                let s = subjects[col];
+                format!(
+                    "sub{s:04}/{}/{}",
+                    self.groups[s].label(),
+                    session.encoding()
+                )
+            },
+        )
     }
 
     /// Group matrix over the full cohort for one session.

@@ -3,8 +3,8 @@
 
 use crate::error::DatasetError;
 use crate::model::{
-    complement_regions, dense_loadings, signature_regions, supported_loadings, synthesize_ts,
-    Component, Session,
+    complement_regions, dense_loadings, signature_regions, stack_connectomes, supported_loadings,
+    synthesize_ts, Component, Session,
 };
 use crate::task::Task;
 use crate::Result;
@@ -573,41 +573,26 @@ impl HcpCohort {
     }
 
     /// Builds the features × subjects group matrix for one condition and
-    /// session, subjects in index order (parallel across subjects).
+    /// session, subjects in index order.
+    ///
+    /// Subjects' connectomes are built in parallel on `linalg::par`, so the
+    /// thread count follows `NEURODEANON_THREADS` and
+    /// `par::with_thread_count`; the matrix is bit-identical at any thread
+    /// count. The error is the first failing subject in index order.
     pub fn group_matrix(&self, task: Task, session: Session) -> Result<GroupMatrix> {
-        let n = self.config.n_subjects;
-        let mut results: Vec<Option<Result<Vec<f64>>>> = (0..n).map(|_| None).collect();
-        let workers = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .min(8)
-            .min(n);
-        let chunk = n.div_ceil(workers);
-        std::thread::scope(|scope| {
-            for (w, slot) in results.chunks_mut(chunk).enumerate() {
-                let start = w * chunk;
-                scope.spawn(move || {
-                    for (off, out) in slot.iter_mut().enumerate() {
-                        let s = start + off;
-                        *out = Some(self.connectome(s, task, session).map(|c| c.vectorize()));
-                    }
-                });
-            }
-        });
-        let n_features = self.config.n_regions * (self.config.n_regions - 1) / 2;
-        let mut data = Matrix::zeros(n_features, n);
-        let mut ids = Vec::with_capacity(n);
-        for (s, slot) in results.into_iter().enumerate() {
-            let v = slot.expect("worker filled every slot")?;
-            data.set_col(s, &v)?;
-            ids.push(format!(
-                "{}/{}/{}",
-                self.subject_id(s),
-                task.name(),
-                session.encoding()
-            ));
-        }
-        GroupMatrix::from_matrix(data, ids, self.config.n_regions).map_err(Into::into)
+        stack_connectomes(
+            self.config.n_regions,
+            self.config.n_subjects,
+            |s| self.connectome(s, task, session),
+            |s| {
+                format!(
+                    "{}/{}/{}",
+                    self.subject_id(s),
+                    task.name(),
+                    session.encoding()
+                )
+            },
+        )
     }
 
     /// Ground-truth task performance (percent correct) for subjects on

@@ -8,7 +8,8 @@
 //! series can be regenerated on demand without storing the cohort.
 
 use crate::Result;
-use neurodeanon_linalg::{Matrix, Rng64};
+use neurodeanon_connectome::{Connectome, GroupMatrix};
+use neurodeanon_linalg::{par, Matrix, Rng64};
 
 /// Scan session. The paper's two resting sessions use opposite phase
 /// encodings (L-R and R-L); `Session` carries that distinction.
@@ -163,6 +164,35 @@ pub fn signature_regions(n_regions: usize, count: usize) -> Vec<usize> {
         picked.insert(idx);
     }
     picked.into_iter().collect()
+}
+
+/// Stacks one vectorized connectome per subject into a features × subjects
+/// group matrix: column `i` is `connectome(i)` with id `id(i)`.
+///
+/// The connectomes are built on [`par::par_chunks_mut`], one subject per
+/// tile, so ingest obeys `NEURODEANON_THREADS` and `par::with_thread_count`
+/// like every kernel. Each column is a pure function of its subject, so the
+/// matrix is bit-identical at any thread count. The error is the first
+/// failing subject in column order.
+pub(crate) fn stack_connectomes(
+    n_regions: usize,
+    n_subjects: usize,
+    connectome: impl Fn(usize) -> Result<Connectome> + Sync,
+    id: impl Fn(usize) -> String,
+) -> Result<GroupMatrix> {
+    let mut columns: Vec<Result<Vec<f64>>> = (0..n_subjects).map(|_| Ok(Vec::new())).collect();
+    // One scan's synthesis and connectome outweigh a thread spawn at any
+    // cohort shape, so the threshold is 0.
+    par::par_chunks_mut(&mut columns, 1, 1, 0, |i, slot| {
+        slot[0] = connectome(i).map(|c| c.vectorize());
+    });
+    let mut data = Matrix::zeros(n_regions * (n_regions - 1) / 2, n_subjects);
+    let mut ids = Vec::with_capacity(n_subjects);
+    for (i, column) in columns.into_iter().enumerate() {
+        data.set_col(i, &column?)?;
+        ids.push(id(i));
+    }
+    GroupMatrix::from_matrix(data, ids, n_regions).map_err(Into::into)
 }
 
 #[cfg(test)]

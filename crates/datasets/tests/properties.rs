@@ -3,6 +3,8 @@
 use neurodeanon_datasets::{
     AdhdCohort, AdhdCohortConfig, HcpCohort, HcpCohortConfig, Session, Task,
 };
+use neurodeanon_linalg::par::with_thread_count;
+use neurodeanon_linalg::Matrix;
 use neurodeanon_testkit::gen::{u64_in, usize_in};
 use neurodeanon_testkit::{forall, tk_assert, tk_assert_eq, tk_assert_ne, Config};
 
@@ -121,5 +123,58 @@ fn group_matrix_ids_are_unique() {
         let g = cohort.group_matrix(Task::Rest, Session::One).unwrap();
         let set: std::collections::HashSet<&String> = g.subject_ids().iter().collect();
         tk_assert_eq!(set.len(), g.n_subjects());
+    });
+}
+
+/// Bit patterns of a features × subjects matrix whose column `c` is
+/// `columns[c]`: the reference ingest, one vectorized connectome per subject
+/// stacked in list order.
+fn stacked_bits(columns: &[Vec<f64>]) -> Vec<u64> {
+    let stacked = Matrix::from_fn(columns[0].len(), columns.len(), |r, c| columns[c][r]);
+    stacked.as_slice().iter().map(|x| x.to_bits()).collect()
+}
+
+fn bits(m: &Matrix) -> Vec<u64> {
+    m.as_slice().iter().map(|x| x.to_bits()).collect()
+}
+
+/// Cohort ingest runs on `linalg::par`, so the thread count is a scheduling
+/// choice only: at 1 and 8 threads `HcpCohort::group_matrix` and
+/// `AdhdCohort::group_matrix_for` (with an out-of-order subject list) equal,
+/// bit for bit, the reference that stacks `connectome(s).vectorize()` per
+/// subject, with ids in the same order.
+#[test]
+fn ingest_is_thread_count_invariant() {
+    forall!(Config::cases(4), (seed in u64_in(0..200)) => {
+        let hcp = tiny_hcp(seed);
+        let (task, session) = (Task::Rest, Session::One);
+        let hcp_columns: Vec<Vec<f64>> = (0..hcp.n_subjects())
+            .map(|s| hcp.connectome(s, task, session).unwrap().vectorize())
+            .collect();
+        let hcp_ids: Vec<String> = (0..hcp.n_subjects())
+            .map(|s| format!("{}/{}/{}", hcp.subject_id(s), task.name(), session.encoding()))
+            .collect();
+        let adhd = AdhdCohort::generate(AdhdCohortConfig::small(4, 2, seed)).unwrap();
+        let order = [5usize, 0, 3, 7];
+        let adhd_columns: Vec<Vec<f64>> = order
+            .iter()
+            .map(|&s| adhd.connectome(s, Session::Two).unwrap().vectorize())
+            .collect();
+        let adhd_ids: Vec<String> = order
+            .iter()
+            .map(|&s| format!("sub{s:04}/{}/{}", adhd.groups()[s].label(), Session::Two.encoding()))
+            .collect();
+        for threads in [1usize, 8] {
+            let (h, a) = with_thread_count(threads, || {
+                (
+                    hcp.group_matrix(task, session).unwrap(),
+                    adhd.group_matrix_for(&order, Session::Two).unwrap(),
+                )
+            });
+            tk_assert_eq!(bits(h.as_matrix()), stacked_bits(&hcp_columns), "hcp, threads={threads}");
+            tk_assert_eq!(h.subject_ids(), &hcp_ids[..], "hcp ids, threads={threads}");
+            tk_assert_eq!(bits(a.as_matrix()), stacked_bits(&adhd_columns), "adhd, threads={threads}");
+            tk_assert_eq!(a.subject_ids(), &adhd_ids[..], "adhd ids, threads={threads}");
+        }
     });
 }

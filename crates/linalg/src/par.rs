@@ -205,10 +205,14 @@ fn make_tile(index: usize, tile_len: usize, n_items: usize) -> Tile {
 /// Tiles are `tile_len` items each (the last may be short); boundaries depend
 /// only on `n_items` and `tile_len`. When `n_items * work_per_item` is below
 /// `threshold`, or only one thread is available, every tile runs inline on
-/// the calling thread in index order; otherwise tiles are distributed
-/// round-robin over scoped threads. `f` must confine its effects to data
-/// owned by its tile (use [`DisjointMut`] for shared output buffers) so the
-/// execution order of distinct tiles cannot influence results.
+/// the calling thread in index order; otherwise worker `w` of `threads`
+/// scoped threads runs tiles `w, w + threads, …`, the calling thread being
+/// worker 0. `f` must confine its effects to data owned by its tile (use
+/// [`DisjointMut`] for shared output buffers) so the execution order of
+/// distinct tiles cannot influence results.
+///
+/// This is the one dispatcher of the layer: [`par_chunks_mut`] and
+/// [`par_reduce_tiles`] are adapters over it.
 pub fn par_tiles<F>(n_items: usize, tile_len: usize, work_per_item: usize, threshold: usize, f: F)
 where
     F: Fn(Tile) + Sync,
@@ -234,47 +238,36 @@ where
     let mut busy = vec![0u64; if traced { threads } else { 0 }];
     {
         let bshare = DisjointMut::new(&mut busy);
-        std::thread::scope(|s| {
-            let f = &f;
-            for w in 1..threads {
-                s.spawn(move || {
-                    let t0 = traced.then(Instant::now);
-                    let mut t = w;
-                    while t < tiles {
-                        f(make_tile(t, tile_len, n_items));
-                        t += threads;
-                    }
-                    if let Some(t0) = t0 {
-                        // SAFETY: worker `w` is the only writer of slot `w`.
-                        unsafe { *bshare.get(w) = t0.elapsed().as_nanos() as u64 };
-                    }
-                });
-            }
+        let worker = |w: usize| {
             let t0 = traced.then(Instant::now);
-            neurodeanon_obs::span::detached(|| {
-                let mut t = 0;
-                while t < tiles {
-                    f(make_tile(t, tile_len, n_items));
-                    t += threads;
-                }
-            });
-            if let Some(t0) = t0 {
-                // SAFETY: slot 0 belongs to the calling thread.
-                unsafe { *bshare.get(0) = t0.elapsed().as_nanos() as u64 };
+            for t in (w..tiles).step_by(threads) {
+                f(make_tile(t, tile_len, n_items));
             }
+            if let Some(t0) = t0 {
+                // SAFETY: worker `w` is the only writer of slot `w`.
+                unsafe { *bshare.get(w) = t0.elapsed().as_nanos() as u64 };
+            }
+        };
+        std::thread::scope(|s| {
+            let worker = &worker;
+            for w in 1..threads {
+                s.spawn(move || worker(w));
+            }
+            neurodeanon_obs::span::detached(|| worker(0));
         });
     }
     record_busy(&busy);
 }
 
 /// Splits `data` into fixed `chunk_len`-element chunks and runs
-/// `f(chunk_index, chunk)` once per chunk, in parallel when
-/// `data.len() * work_per_item` reaches `threshold`.
+/// `f(chunk_index, chunk)` once per chunk: [`par_tiles`] over `data`, chunk
+/// `i` being tile `i`.
 ///
 /// Chunk boundaries depend only on `data.len()` and `chunk_len`, so a kernel
 /// whose chunk result depends only on `(chunk_index, chunk)` is bit-identical
-/// at any thread count. This is the safe-Rust workhorse for row-partitioned
-/// outputs (matmul row panels, z-scoring, per-point t-SNE gradient rows).
+/// at any thread count. This is the workhorse for row-partitioned outputs
+/// (matmul row panels, z-scoring, per-point t-SNE gradient rows, one
+/// connectome per subject at cohort ingest).
 pub fn par_chunks_mut<T, F>(
     data: &mut [T],
     chunk_len: usize,
@@ -285,72 +278,22 @@ pub fn par_chunks_mut<T, F>(
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    if data.is_empty() {
-        return;
-    }
-    let chunk_len = chunk_len.max(1);
-    let n_chunks = data.len().div_ceil(chunk_len);
-    let m = metrics();
-    m.calls.incr();
-    m.tiles.add(n_chunks as u64);
-    let threads = num_threads().min(n_chunks);
-    if threads <= 1 || data.len().saturating_mul(work_per_item) < threshold {
-        neurodeanon_obs::span::detached(|| {
-            for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
-                f(i, chunk);
-            }
-        });
-        return;
-    }
-    // Deal chunks round-robin so long inputs stay balanced without any
-    // thread-count-dependent boundary arithmetic.
-    let mut batches: Vec<Vec<(usize, &mut [T])>> = (0..threads).map(|_| Vec::new()).collect();
-    for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
-        batches[i % threads].push((i, chunk));
-    }
-    let traced = neurodeanon_obs::enabled();
-    let mut busy = vec![0u64; if traced { threads } else { 0 }];
-    {
-        let bshare = DisjointMut::new(&mut busy);
-        std::thread::scope(|s| {
-            let f = &f;
-            let mut batches = batches.into_iter();
-            let own = batches.next().expect("threads >= 1");
-            for (w, batch) in batches.enumerate() {
-                s.spawn(move || {
-                    let t0 = traced.then(Instant::now);
-                    for (i, chunk) in batch {
-                        f(i, chunk);
-                    }
-                    if let Some(t0) = t0 {
-                        // SAFETY: worker `w + 1` is the only writer of its slot.
-                        unsafe { *bshare.get(w + 1) = t0.elapsed().as_nanos() as u64 };
-                    }
-                });
-            }
-            let t0 = traced.then(Instant::now);
-            neurodeanon_obs::span::detached(|| {
-                for (i, chunk) in own {
-                    f(i, chunk);
-                }
-            });
-            if let Some(t0) = t0 {
-                // SAFETY: slot 0 belongs to the calling thread.
-                unsafe { *bshare.get(0) = t0.elapsed().as_nanos() as u64 };
-            }
-        });
-    }
-    record_busy(&busy);
+    let share = DisjointMut::new(data);
+    par_tiles(share.len(), chunk_len, work_per_item, threshold, |tile| {
+        // SAFETY: tiles partition `0..data.len()`, so tile `i` alone owns
+        // chunk `i`.
+        f(tile.index, unsafe { share.slice(tile.start, tile.len()) })
+    });
 }
 
 /// Deterministic tiled reduction.
 ///
-/// Computes one partial per fixed tile of `0..n_items` (in parallel when the
-/// work crosses `threshold`), then folds `init` with the partials **in tile
-/// index order** on the calling thread. The sequential path materializes the
-/// same partials and folds them in the same order, so the result is
-/// bit-identical at any thread count — the floating-point merge tree is part
-/// of the kernel's definition, not an execution accident.
+/// Computes one partial per fixed tile of `0..n_items` through [`par_tiles`]
+/// (each tile writes its own slot), then folds `init` with the partials **in
+/// tile index order** on the calling thread. The fold never depends on
+/// which thread produced a partial, so the result is bit-identical at any
+/// thread count — the floating-point merge tree is part of the kernel's
+/// definition, not an execution accident.
 pub fn par_reduce_tiles<R, F, G>(
     n_items: usize,
     tile_len: usize,
@@ -365,90 +308,17 @@ where
     F: Fn(Tile) -> R + Sync,
     G: FnMut(R, R) -> R,
 {
-    if n_items == 0 {
-        return init;
-    }
-    let tile_len = tile_len.max(1);
-    let tiles = n_items.div_ceil(tile_len);
-    let m = metrics();
-    m.calls.incr();
-    m.tiles.add(tiles as u64);
-    let threads = num_threads().min(tiles);
-    let mut partials: Vec<Option<R>> = (0..tiles).map(|_| None).collect();
-    if threads <= 1 || n_items.saturating_mul(work_per_item) < threshold {
-        neurodeanon_obs::span::detached(|| {
-            for (t, slot) in partials.iter_mut().enumerate() {
-                *slot = Some(tile_fn(make_tile(t, tile_len, n_items)));
-            }
-        });
-    } else {
-        let traced = neurodeanon_obs::enabled();
-        let mut busy = vec![0u64; if traced { threads } else { 0 }];
-        let bshare = DisjointMut::new(&mut busy);
-        let slots = DisjointMut::new(&mut partials);
-        std::thread::scope(|s| {
-            let tile_fn = &tile_fn;
-            for w in 1..threads {
-                s.spawn(move || {
-                    let t0 = traced.then(Instant::now);
-                    let mut t = w;
-                    while t < tiles {
-                        // SAFETY: each tile index is visited by exactly one
-                        // thread (round-robin by `t % threads`).
-                        unsafe { *slots.get(t) = Some(tile_fn(make_tile(t, tile_len, n_items))) };
-                        t += threads;
-                    }
-                    if let Some(t0) = t0 {
-                        // SAFETY: worker `w` is the only writer of slot `w`.
-                        unsafe { *bshare.get(w) = t0.elapsed().as_nanos() as u64 };
-                    }
-                });
-            }
-            let t0 = traced.then(Instant::now);
-            neurodeanon_obs::span::detached(|| {
-                let mut t = 0;
-                while t < tiles {
-                    // SAFETY: as above — stride-disjoint tile indices.
-                    unsafe { *slots.get(t) = Some(tile_fn(make_tile(t, tile_len, n_items))) };
-                    t += threads;
-                }
-            });
-            if let Some(t0) = t0 {
-                // SAFETY: slot 0 belongs to the calling thread.
-                unsafe { *bshare.get(0) = t0.elapsed().as_nanos() as u64 };
-            }
-        });
-        record_busy(&busy);
-    }
+    let mut partials: Vec<Option<R>> = (0..n_items.div_ceil(tile_len.max(1)))
+        .map(|_| None)
+        .collect();
+    let slots = DisjointMut::new(&mut partials);
+    par_tiles(n_items, tile_len, work_per_item, threshold, |tile| {
+        // SAFETY: tile `i` is the only writer of slot `i`.
+        unsafe { *slots.get(tile.index) = Some(tile_fn(tile)) };
+    });
     partials
         .into_iter()
         .fold(init, |acc, p| fold(acc, p.expect("every tile ran")))
-}
-
-/// Runs two closures, potentially in parallel, returning both results.
-///
-/// `b` runs on a scoped worker thread while `a` runs on the calling thread
-/// (sequentially, `a` then `b`, when only one thread is available). Both
-/// closures must be independent; determinism follows from each running
-/// sequentially in itself.
-pub fn par_join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA,
-    B: FnOnce() -> RB + Send,
-    RB: Send,
-{
-    metrics().calls.incr();
-    if num_threads() <= 1 {
-        let ra = neurodeanon_obs::span::detached(a);
-        let rb = neurodeanon_obs::span::detached(b);
-        return (ra, rb);
-    }
-    std::thread::scope(|s| {
-        let hb = s.spawn(b);
-        let ra = neurodeanon_obs::span::detached(a);
-        let rb = hb.join().expect("par_join worker panicked");
-        (ra, rb)
-    })
 }
 
 /// A copyable, `Sync` view of a mutable slice for kernels that hand
@@ -644,17 +514,6 @@ mod tests {
         assert_eq!(seq, (0..23).collect::<Vec<_>>());
         for threads in [2usize, 3, 8] {
             assert_eq!(with_thread_count(threads, reduce), seq);
-        }
-    }
-
-    #[test]
-    fn par_join_returns_both_results() {
-        for threads in [1usize, 4] {
-            with_thread_count(threads, || {
-                let (a, b) = par_join(|| 2 + 2, || "ok");
-                assert_eq!(a, 4);
-                assert_eq!(b, "ok");
-            });
         }
     }
 

@@ -93,10 +93,14 @@ pub fn mean(xs: &[f64]) -> f64 {
 
 /// Population variance of a slice (÷ n, 0 for empty).
 pub fn variance(xs: &[f64]) -> f64 {
+    variance_about(xs, mean(xs))
+}
+
+/// Population variance of `xs` about its precomputed mean `m` (0 for empty).
+fn variance_about(xs: &[f64], m: f64) -> f64 {
     if xs.is_empty() {
         return 0.0;
     }
-    let m = mean(xs);
     xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64
 }
 
@@ -111,7 +115,7 @@ pub fn std_dev(xs: &[f64]) -> f64 {
 /// and must not poison downstream correlations.
 pub fn zscore_in_place(xs: &mut [f64]) {
     let m = mean(xs);
-    let s = std_dev(xs);
+    let s = variance_about(xs, m).sqrt();
     if s <= f64::EPSILON * m.abs().max(1.0) {
         for x in xs.iter_mut() {
             *x = 0.0;
@@ -122,69 +126,6 @@ pub fn zscore_in_place(xs: &mut [f64]) {
     for x in xs.iter_mut() {
         *x = (*x - m) * inv;
     }
-}
-
-/// NaN-aware z-scoring: normalizes the *finite* entries of a slice by their
-/// own mean and population standard deviation, leaving non-finite entries
-/// untouched (NaN stays NaN, so downstream masked kernels still see which
-/// observations are missing).
-///
-/// On a fully finite slice this takes exactly the [`zscore_in_place`] code
-/// path, so the masked and dense kernels are bit-identical on clean data —
-/// the contract the `Mask` degradation policy rests on. Degenerate cases
-/// follow the dense conventions: fewer than one finite entry is a no-op, and
-/// a constant finite subset becomes zeros.
-pub fn zscore_masked_in_place(xs: &mut [f64]) {
-    if xs.iter().all(|x| x.is_finite()) {
-        zscore_in_place(xs);
-        return;
-    }
-    let mut n = 0usize;
-    let mut sum = 0.0;
-    for &x in xs.iter() {
-        if x.is_finite() {
-            n += 1;
-            sum += x;
-        }
-    }
-    if n == 0 {
-        return;
-    }
-    let m = sum / n as f64;
-    let mut ss = 0.0;
-    for &x in xs.iter() {
-        if x.is_finite() {
-            ss += (x - m) * (x - m);
-        }
-    }
-    let s = (ss / n as f64).sqrt();
-    if s <= f64::EPSILON * m.abs().max(1.0) {
-        for x in xs.iter_mut() {
-            if x.is_finite() {
-                *x = 0.0;
-            }
-        }
-        return;
-    }
-    let inv = 1.0 / s;
-    for x in xs.iter_mut() {
-        if x.is_finite() {
-            *x = (*x - m) * inv;
-        }
-    }
-}
-
-/// Masked analogue of [`zscore_rows`]: every row is z-scored over its finite
-/// entries via [`zscore_masked_in_place`]; non-finite entries survive as NaN
-/// markers. Bit-identical to [`zscore_rows`] on a fully finite matrix.
-pub fn zscore_rows_masked(m: &mut Matrix) {
-    let cols = m.cols();
-    if cols == 0 {
-        return;
-    }
-    par::par_chunks_mut(m.as_mut_slice(), cols, 2, ZSCORE_PAR_THRESHOLD, |_, row| {
-        zscore_masked_in_place(row)
-    });
 }
 
 /// Z-scores every row of a matrix in place (each row treated as one series).
@@ -601,20 +542,14 @@ pub fn cross_correlation_masked(a: &Matrix, b: &Matrix, min_overlap: usize) -> R
         });
     }
     // Operate on transposed copies (rows = subject series): raw for the
-    // pairwise-complete entries, masked-z-scored for the dense fast path.
-    let (at, bt) = par::par_join(|| a.transpose(), || b.transpose());
-    let (az, bz) = par::par_join(
-        || {
-            let mut az = at.clone();
-            zscore_rows_masked(&mut az);
-            az
-        },
-        || {
-            let mut bz = bt.clone();
-            zscore_rows_masked(&mut bz);
-            bz
-        },
-    );
+    // pairwise-complete entries, z-scored for the dense fast path. A
+    // z-scored row is read only when the row is fully finite.
+    let at = a.transpose();
+    let bt = b.transpose();
+    let mut az = at.clone();
+    zscore_rows(&mut az);
+    let mut bz = bt.clone();
+    zscore_rows(&mut bz);
     let a_finite: Vec<bool> = (0..at.rows())
         .map(|i| at.row(i).iter().all(|v| v.is_finite()))
         .collect();
@@ -1042,38 +977,6 @@ mod tests {
         let a = Matrix::zeros(5, 2);
         let b = Matrix::zeros(6, 2);
         assert!(cross_correlation(&a, &b).is_err());
-    }
-
-    #[test]
-    fn zscore_masked_matches_dense_on_finite() {
-        let mut a = vec![0.3, -1.2, 2.5, 0.0, 1.1, 4.4];
-        let mut b = a.clone();
-        zscore_in_place(&mut a);
-        zscore_masked_in_place(&mut b);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
-    fn zscore_masked_ignores_nan() {
-        let mut xs = vec![1.0, f64::NAN, 2.0, 3.0, f64::NAN, 4.0, 5.0];
-        zscore_masked_in_place(&mut xs);
-        assert!(xs[1].is_nan() && xs[4].is_nan());
-        let finite: Vec<f64> = xs.iter().copied().filter(|x| x.is_finite()).collect();
-        assert!(mean(&finite).abs() < 1e-12);
-        assert!((variance(&finite) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn zscore_masked_constant_and_empty_support() {
-        let mut xs = vec![7.0, f64::NAN, 7.0, 7.0];
-        zscore_masked_in_place(&mut xs);
-        assert_eq!(&xs[..1], &[0.0]);
-        assert!(xs[1].is_nan());
-        let mut none = vec![f64::NAN, f64::NAN];
-        zscore_masked_in_place(&mut none);
-        assert!(none.iter().all(|x| x.is_nan()));
     }
 
     #[test]

@@ -7,12 +7,14 @@
 use neurodeanon_linalg::cholesky::{cholesky, cholesky_solve};
 use neurodeanon_linalg::eigen::sym_eigen;
 use neurodeanon_linalg::matrix::Matrix;
+use neurodeanon_linalg::par::with_thread_count;
 use neurodeanon_linalg::pinv::pinv;
 use neurodeanon_linalg::qr::qr;
+use neurodeanon_linalg::rng::Rng64;
 use neurodeanon_linalg::stats;
 use neurodeanon_linalg::svd::{leverage_scores, thin_svd};
 use neurodeanon_linalg::vector;
-use neurodeanon_testkit::gen::{f64_in, from_fn, matrix_in, vec_of, Gen};
+use neurodeanon_testkit::gen::{f64_in, from_fn, matrix_in, usize_in, vec_of, Gen};
 use neurodeanon_testkit::{forall, tk_assert, tk_assert_eq, Config};
 
 fn cfg() -> Config {
@@ -286,6 +288,58 @@ fn impute_row_means_matches_plain_mean_bitwise() {
             for (c, &x) in m.row(r).iter().enumerate() {
                 let expect = if x.is_finite() { x } else { want };
                 tk_assert_eq!(filled[(r, c)].to_bits(), expect.to_bits(), "cell ({r}, {c})");
+            }
+        }
+    });
+}
+
+/// A `t × cols` matrix in which about half the columns carry non-finite
+/// cells (mostly NaN, some +inf) and the rest are fully finite.
+fn gapped_columns(rng: &mut Rng64, t: usize, cols: usize) -> Matrix {
+    let degraded: Vec<bool> = (0..cols).map(|_| rng.below(2) == 0).collect();
+    Matrix::from_fn(t, cols, |_, c| match (degraded[c], rng.below(8)) {
+        (true, 0 | 1) => f64::NAN,
+        (true, 2) => f64::INFINITY,
+        _ => rng.uniform_range(-5.0, 5.0),
+    })
+}
+
+/// The masked kernel on mixed input, at 1 and 8 threads: a pair of fully
+/// finite columns equals `cross_correlation` of the two single columns bit
+/// for bit (NaN when `t < min_overlap`); every other pair equals
+/// `pearson_masked`, NaN where that finds too little overlap.
+#[test]
+fn cross_correlation_masked_pins_both_paths() {
+    let pair = from_fn(|rng| {
+        let (t, na, nb) = (2 + rng.below(10), 1 + rng.below(5), 1 + rng.below(5));
+        (gapped_columns(rng, t, na), gapped_columns(rng, t, nb))
+    });
+    forall!(Config::cases(200), (ab in pair, min_overlap in usize_in(0..8)) => {
+        let (a, b) = ab;
+        let t = a.rows();
+        let finite = |m: &Matrix, c: usize| (0..t).all(|r| m[(r, c)].is_finite());
+        for threads in [1usize, 8] {
+            let out = with_thread_count(threads, || {
+                stats::cross_correlation_masked(&a, &b, min_overlap).unwrap()
+            });
+            for i in 0..a.cols() {
+                let ai = a.select_cols(&[i]).unwrap();
+                for j in 0..b.cols() {
+                    let bj = b.select_cols(&[j]).unwrap();
+                    let got = out[(i, j)];
+                    let want = if finite(&a, i) && finite(&b, j) {
+                        if t < min_overlap {
+                            f64::NAN
+                        } else {
+                            stats::cross_correlation(&ai, &bj).unwrap()[(0, 0)]
+                        }
+                    } else {
+                        stats::pearson_masked(ai.as_slice(), bj.as_slice(), min_overlap)
+                            .unwrap()
+                            .unwrap_or(f64::NAN)
+                    };
+                    tk_assert_eq!(got.to_bits(), want.to_bits(), "pair ({i}, {j}), threads={threads}");
+                }
             }
         }
     });

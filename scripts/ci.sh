@@ -124,6 +124,19 @@ diff "$SERVE_DIR/chaos_mask_solo.csv" "$SERVE_DIR/chaos_mask_packed.csv"
 rm -rf "$SERVE_DIR"
 echo "    serve responses identical across thread counts and packings, clean and degraded"
 
+# Experiment smoke (DESIGN.md §1.1): HCP and ADHD cohort ingest, the masked
+# kernel and the open-world sweep all run on linalg::par, so their JSONL
+# records must be byte-identical single-threaded and at the default count.
+echo "==> repro smoke: experiment JSONL identical @ NEURODEANON_THREADS=1 and default"
+REPRO_DIR="$(mktemp -d)"
+NEURODEANON_THREADS=1 ./target/release/repro --scale small --out "$REPRO_DIR/t1.jsonl" \
+  fig1 fig7 fig8 fig9 robustness openworld > /dev/null
+./target/release/repro --scale small --out "$REPRO_DIR/default.jsonl" \
+  fig1 fig7 fig8 fig9 robustness openworld > /dev/null
+cmp "$REPRO_DIR/t1.jsonl" "$REPRO_DIR/default.jsonl"
+rm -rf "$REPRO_DIR"
+echo "    experiment records identical across thread counts"
+
 # Kernel smoke: the kernels bench at small scale emits kernel_bench GFLOP/s
 # records and gates them against crates/bench/benches/kernel_baseline.jsonl —
 # >25% below the best committed baseline is a soft warning while a label has
